@@ -14,7 +14,8 @@
 // pays a from-scratch fixpoint); BM_*ChurnIncremental turns it on
 // (delta semi-naive inserts + DRed retracts, eval/incremental.h). The
 // CI gate (scripts/check_bench.py --min-ratio) requires incremental to
-// be >= 20x faster on both workloads.
+// be >= 20x faster on both workloads. BM_ChurnDrift (at the end) gates
+// that a commit's cost stays flat as commits pile up.
 //
 // Before measuring, the bench verifies correctness: several churn
 // rounds through the incremental path must leave a database whose
@@ -23,8 +24,12 @@
 // from wrong answers.
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -253,6 +258,209 @@ void BM_BomReachChurnIncremental(benchmark::State& state) {
   ChurnLoop(state, BomReachSource(), "part_of", /*incremental=*/true);
 }
 BENCHMARK(BM_BomReachChurnIncremental)->Unit(benchmark::kMicrosecond);
+
+// ---- Commit cost under drift churn ----------------------------------
+//
+// The write loop of perfbench's churn_serve workload without its
+// reads: kDriftFamilies ancestry families over forests of random
+// trees, every commit re-parenting kDriftMoves nodes of one family
+// (retract the old parent edge, add a new one, so rows are retracted
+// for good rather than toggled), then FreezeIncremental + Publish. A
+// first-column index on every anc<k> - the one a bound point query
+// builds - rides along. Commit cost must not grow with the commits
+// before it: tombstoned rows, ragged fact-ledger chunks and
+// per-bucket posting copies each made it climb. The last kDriftWindow
+// commits run twice, alternating commit by commit: on the aged session
+// and on a fresh one rebuilt from the same facts, staging the same
+// moves (a copy of the forest and its random stream). drift_ratio is
+// the aged session's p50 commit -> publish CPU time over the fresh
+// one's; CI bounds it at 1.25. Both halves run in the same seconds, so
+// a host that speeds up or slows down moves them together. The run
+// aborts unless both final databases equal a from-scratch evaluation.
+
+constexpr size_t kDriftFamilies = 8;
+constexpr size_t kDriftTrees = 250;
+constexpr size_t kDriftNodes = 25;
+constexpr size_t kDriftMoves = 100;
+constexpr size_t kDriftCommits = 2000;
+constexpr size_t kDriftWindow = 200;
+
+class DriftForest {
+ public:
+  DriftForest() : parent_(kDriftFamilies * kDriftTrees * kDriftNodes, 0) {
+    for (size_t f = 0; f < kDriftFamilies; ++f) {
+      for (size_t t = 0; t < kDriftTrees; ++t) {
+        for (size_t i = 1; i < kDriftNodes; ++i) {
+          parent_[Slot(f, t, i)] = rng_.Below(i);
+        }
+      }
+    }
+  }
+
+  std::string Source() const {
+    std::string src;
+    for (size_t f = 0; f < kDriftFamilies; ++f) {
+      const std::string k = std::to_string(f);
+      src += "anc" + k + "(X, Y) :- par" + k + "(X, Y).\n";
+      src += "anc" + k + "(X, Z) :- anc" + k + "(X, Y), par" + k +
+             "(Y, Z).\n";
+    }
+    for (size_t f = 0; f < kDriftFamilies; ++f) {
+      for (size_t t = 0; t < kDriftTrees; ++t) {
+        for (size_t i = 1; i < kDriftNodes; ++i) {
+          src += "par" + std::to_string(f) + "(" + Node(f, t, i) + ", " +
+                 Node(f, t, parent_[Slot(f, t, i)]) + ").\n";
+        }
+      }
+    }
+    return src;
+  }
+
+  /// Stages one commit's re-parentings of a random family.
+  void Stage(Session* session, MutationBatch* batch) {
+    TermStore* store = session->store();
+    const size_t f = rng_.Below(kDriftFamilies);
+    const std::string pred = "par" + std::to_string(f);
+    std::vector<size_t> moved;
+    while (moved.size() < kDriftMoves) {
+      const size_t t = rng_.Below(kDriftTrees);
+      const size_t i = 2 + rng_.Below(kDriftNodes - 2);
+      const size_t slot = Slot(f, t, i);
+      if (std::find(moved.begin(), moved.end(), slot) != moved.end()) {
+        continue;
+      }
+      moved.push_back(slot);
+      size_t& p = parent_[slot];
+      size_t np = rng_.Below(i);
+      while (np == p) np = rng_.Below(i);
+      const TermId child = store->MakeConstant(Node(f, t, i));
+      MustOk(batch->Retract(pred, {child, store->MakeConstant(Node(f, t, p))}),
+             "drift retract");
+      MustOk(batch->Add(pred, {child, store->MakeConstant(Node(f, t, np))}),
+             "drift add");
+      p = np;
+    }
+  }
+
+ private:
+  static size_t Slot(size_t f, size_t t, size_t i) {
+    return (f * kDriftTrees + t) * kDriftNodes + i;
+  }
+  static std::string Node(size_t f, size_t t, size_t i) {
+    std::string name = "f";
+    return name += std::to_string(f) + "t" + std::to_string(t) + "n" +
+                   std::to_string(i);
+  }
+
+  Rng rng_{4242};
+  std::vector<size_t> parent_;
+};
+
+double CpuMillis() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// One drift-churn chain: a session with the anc<k> point-query index,
+/// committed and republished copy-on-write one batch at a time.
+class DriftChain {
+ public:
+  explicit DriftChain(const DriftForest& forest)
+      : session_(EvaluatedSession(forest.Source(), /*incremental=*/true)) {
+    for (size_t f = 0; f < kDriftFamilies; ++f) {
+      const std::string k = std::to_string(f);
+      MustOk(session_->Query("anc" + k + "(f" + k + "t0n1, Y)").status(),
+             "point query");
+    }
+    auto first = session_->FreezeIncremental(nullptr);
+    MustOk(first.status(), "freeze");
+    prev_ = *first;
+    registry_.Publish(prev_);
+  }
+
+  /// Stages `forest`'s next moves and returns the CPU milliseconds of
+  /// commit -> FreezeIncremental -> Publish.
+  double Commit(DriftForest* forest) {
+    MutationBatch batch = session_->Mutate();
+    forest->Stage(session_.get(), &batch);
+    const double t0 = CpuMillis();
+    MustOk(batch.Commit(), "drift commit");
+    auto snap = session_->FreezeIncremental(prev_);
+    MustOk(snap.status(), "freeze incremental");
+    prev_ = *snap;
+    registry_.Publish(prev_);
+    const double ms = CpuMillis() - t0;
+    compactions_ += session_->eval_stats().compactions;
+    return ms;
+  }
+
+  Session& session() { return *session_; }
+  size_t compactions() const { return compactions_; }
+
+ private:
+  std::unique_ptr<Session> session_;
+  serve::SnapshotRegistry registry_;
+  std::shared_ptr<const serve::Snapshot> prev_;
+  size_t compactions_ = 0;
+};
+
+void BM_ChurnDrift(benchmark::State& state) {
+  double drift_ratio = 0;
+  double arena_per_live = 0;
+  size_t compactions = 0;
+  for (auto _ : state) {
+    DriftForest forest;
+    DriftChain aged(forest);
+    double total = 0;
+    for (size_t c = 0; c < kDriftCommits - kDriftWindow; ++c) {
+      total += aged.Commit(&forest);
+    }
+    DriftForest fresh_forest = forest;
+    DriftChain fresh(fresh_forest);
+    std::vector<double> aged_ms;
+    std::vector<double> fresh_ms;
+    for (size_t c = 0; c < kDriftWindow; ++c) {
+      aged_ms.push_back(aged.Commit(&forest));
+      fresh_ms.push_back(fresh.Commit(&fresh_forest));
+      total += aged_ms.back();
+    }
+    state.SetIterationTime(total / 1e3);
+    drift_ratio = MedianOf(aged_ms) / MedianOf(fresh_ms);
+    compactions = aged.compactions();
+
+    size_t arena = 0;
+    size_t live = 0;
+    for (const auto& [pred, rs] : aged.session().database()->CollectStats()) {
+      arena += rs.arena_rows;
+      live += rs.live_rows;
+    }
+    arena_per_live = static_cast<double>(arena) / static_cast<double>(live);
+    auto ref = EvaluatedSession(forest.Source(), /*incremental=*/false);
+    const std::string want =
+        ref->database()->ToCanonicalString(ref->program()->signature());
+    for (DriftChain* chain : {&aged, &fresh}) {
+      Session& s = chain->session();
+      if (s.database()->ToCanonicalString(s.program()->signature()) != want) {
+        std::fprintf(stderr,
+                     "bench_incremental: drift churn diverged from the "
+                     "from-scratch fixpoint\n");
+        std::abort();
+      }
+    }
+  }
+  state.counters["drift_ratio"] = drift_ratio;
+  state.counters["arena_rows_per_live_row"] = arena_per_live;
+  state.counters["compactions"] = static_cast<double>(compactions);
+}
+BENCHMARK(BM_ChurnDrift)->UseManualTime()->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lps::bench

@@ -1,12 +1,21 @@
 // Concurrent query serving QPS over a frozen snapshot.
 //
 // BM_ServeThreads/N runs a fixed batch of path(n_i, Y) point queries
-// through an N-lane serve::QueryServer against one published snapshot;
-// every request takes the demand (magic-set) route into a private
-// result database, so the lanes share nothing but the immutable
-// snapshot and the batch should scale near-linearly. The CI gate
+// through an N-lane serve::QueryServer against one published snapshot
+// frozen unevaluated (FreezeOptions::evaluate = false), so every
+// request takes the demand (magic-set) route into a private result
+// database: the lanes share nothing but the immutable snapshot and the
+// batch should scale near-linearly. The CI gate
 // (scripts/check_bench.py --min-ratio) requires the 4-lane batch to be
 // >= 2x faster than the 1-lane batch, i.e. >= 2x QPS at 4 threads.
+//
+// BM_ServeProbeThreads/N serves the same batch from a converged
+// snapshot: every request is an indexed probe (the probe route) through
+// one server side index built before the first batch fans out. Probes
+// cost microseconds, so the batch is larger and its 1 -> 4-lane floor
+// is its own. BM_ServeProbePoint times one probe request at a time;
+// CI puts an absolute ceiling on it, which a fall back to the demand
+// route would break by orders of magnitude.
 //
 // Before measuring, the bench verifies byte-identical answers: the
 // rendered rows of a 1-lane and a 4-lane server must agree request by
@@ -117,14 +126,38 @@ void VerifyServingEquivalence(Session* session,
   }
 }
 
+// Publishes a snapshot of a TcSource(kNodes) session: converged
+// (Freeze evaluates) or unevaluated (the demand route's snapshots).
+std::unique_ptr<Session> PublishTc(serve::SnapshotRegistry* registry,
+                                   bool converged) {
+  auto session = MustLoad(TcSource(kNodes));
+  serve::FreezeOptions opts;
+  opts.evaluate = converged;
+  auto snap = session->Freeze(opts);
+  if (!snap.ok() || (*snap)->converged() != converged) std::abort();
+  registry->Publish(*snap);
+  // The session itself answers the ground truth (Session::Query reads
+  // its database), so it is evaluated either way.
+  if (!converged) MustEvaluate(session.get());
+  return session;
+}
+
+// Aborts unless `server`'s queries all took `route`.
+void ExpectRoute(const serve::QueryServer& server, serve::ServeRoute route) {
+  for (const serve::QueryRoute& r : server.stats().query_routes) {
+    if (r.route != route) {
+      std::fprintf(stderr, "bench_serving: expected the %s route, got %s\n",
+                   serve::ServeRouteName(route),
+                   serve::ServeRouteName(r.route));
+      std::abort();
+    }
+  }
+}
+
 void BM_ServeThreads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
-  auto session = MustLoad(TcSource(kNodes));
-  MustEvaluate(session.get());
   serve::SnapshotRegistry registry;
-  auto snap = session->Freeze();
-  if (!snap.ok()) std::abort();
-  registry.Publish(*snap);
+  auto session = PublishTc(&registry, /*converged=*/false);
   VerifyServingEquivalence(session.get(), &registry);
 
   serve::ServeOptions opts;
@@ -142,6 +175,7 @@ void BM_ServeThreads(benchmark::State& state) {
     for (const serve::ServeAnswer& a : out) answers += a.count;
     benchmark::DoNotOptimize(answers);
   }
+  ExpectRoute(server, serve::ServeRoute::kDemand);
   // Only deterministic counters: the baseline compare in
   // scripts/check_bench.py is absolute, so machine-dependent rates
   // (QPS, latency percentiles) stay out of the JSON. The QPS floor is
@@ -153,6 +187,60 @@ void BM_ServeThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeThreads)->Arg(1)->Arg(2)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+constexpr int kProbeBatchReps = 64;  // probes are ~1000x cheaper
+
+void BM_ServeProbeThreads(benchmark::State& state) {
+  const size_t threads = static_cast<size_t>(state.range(0));
+  serve::SnapshotRegistry registry;
+  auto session = PublishTc(&registry, /*converged=*/true);
+  VerifyServingEquivalence(session.get(), &registry);
+
+  serve::ServeOptions opts;
+  opts.threads = threads;
+  opts.record_answers = false;
+  serve::QueryServer server(&registry, opts);
+  std::vector<serve::ServeRequest> batch =
+      PointBatch(MustPrepareServe(&server, "path(X, Y)"), kNodes,
+                 kProbeBatchReps);
+  size_t answers = 0;
+  for (auto _ : state) {
+    std::vector<serve::ServeAnswer> out = MustExecute(&server, batch);
+    answers = 0;
+    for (const serve::ServeAnswer& a : out) answers += a.count;
+    benchmark::DoNotOptimize(answers);
+  }
+  ExpectRoute(server, serve::ServeRoute::kProbe);
+  serve::ServeStats stats = server.stats();
+  state.counters["answers"] = static_cast<double>(answers);
+  state.counters["side_index_builds"] =
+      static_cast<double>(stats.side_index_builds);
+  state.counters["index_misses"] = static_cast<double>(stats.index_misses);
+}
+BENCHMARK(BM_ServeProbeThreads)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_ServeProbePoint(benchmark::State& state) {
+  serve::SnapshotRegistry registry;
+  auto session = PublishTc(&registry, /*converged=*/true);
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  opts.record_answers = false;
+  serve::QueryServer server(&registry, opts);
+  std::vector<serve::ServeRequest> requests =
+      PointBatch(MustPrepareServe(&server, "path(X, Y)"), kNodes, 1);
+  size_t i = 0;
+  for (auto _ : state) {
+    auto answer = server.Execute(requests[i]);
+    if (!answer.ok() || !answer->status.ok()) std::abort();
+    benchmark::DoNotOptimize(answer->count);
+    i = (i + 1) % requests.size();
+  }
+  ExpectRoute(server, serve::ServeRoute::kProbe);
+  state.counters["index_misses"] =
+      static_cast<double>(server.stats().index_misses);
+}
+BENCHMARK(BM_ServeProbePoint)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // The registry hot path: pin/unpin cost a batch pays once (amortized
 // over every request in it).
@@ -189,13 +277,14 @@ constexpr int kShardNodes = 32;
 constexpr int kShardEdges = 64;
 constexpr int kChurnEdges = 40;  // ~1% of kShards * kShardEdges facts
 
-// Toggle churn is state-cycling physically as well as logically:
-// retraction tombstones a row but keeps its dedup entry, so the next
-// insert of the same tuple revives the row in place and the touched
-// shard's arena stays flat at any churn depth. The benchmarks
-// therefore run unpinned (framework time-targeting), which
-// bench_storage's BM_RelationToggleChurn locks in at the storage
-// layer.
+// Toggle churn keeps the touched shard's arena bounded at any churn
+// depth: retraction tombstones a row but keeps its dedup entry, so the
+// next insert of the same tuple revives the row in place - and a
+// retraction that leaves more dead rows than half the live ones is
+// compacted away at the end of its commit (DESIGN.md section 16). The
+// benchmarks therefore run unpinned (framework time-targeting);
+// bench_storage's BM_RelationToggleChurn locks in the revive half at
+// the storage layer.
 
 std::unique_ptr<Session> MustLoadIncremental(const std::string& source) {
   Options opt;

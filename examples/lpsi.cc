@@ -89,6 +89,7 @@ void PrintStats(const lps::EvalStats& s, size_t subsumptions) {
   std::printf("  delta_rounds       %zu\n", s.delta_rounds);
   std::printf("  rederived_tuples   %zu\n", s.rederived_tuples);
   std::printf("  overdeleted_tuples %zu\n", s.overdeleted_tuples);
+  std::printf("  compactions        %zu\n", s.compactions);
   std::printf("planner:\n");
   std::printf("  plan_reorders         %zu\n", s.plan_reorders);
   std::printf("  plan_estimated_tuples %.0f\n", s.plan_estimated_tuples);
@@ -114,6 +115,7 @@ void PrintServeStats(const lps::serve::ServeStats& s) {
   std::printf("serving:\n");
   std::printf("  batches           %llu\n", u64(s.batches));
   std::printf("  queries           %llu\n", u64(s.queries));
+  std::printf("  probe_queries     %llu\n", u64(s.probe_queries));
   std::printf("  demand_queries    %llu\n", u64(s.demand_queries));
   std::printf("  scan_queries      %llu\n", u64(s.scan_queries));
   std::printf("  builtin_queries   %llu\n", u64(s.builtin_queries));
@@ -122,6 +124,8 @@ void PrintServeStats(const lps::serve::ServeStats& s) {
   std::printf("  errors            %llu\n", u64(s.errors));
   std::printf("  rewrites_built    %llu\n", u64(s.rewrites_built));
   std::printf("  rewrite_cache_hits %llu\n", u64(s.rewrite_cache_hits));
+  std::printf("  index_misses      %llu\n", u64(s.index_misses));
+  std::printf("  side_index_builds %llu\n", u64(s.side_index_builds));
   std::printf("  worker_rebinds    %llu\n", u64(s.worker_rebinds));
   std::printf("  worker_refreshes  %llu\n", u64(s.worker_refreshes));
   std::printf("  deadline_exceeded %llu\n", u64(s.deadline_exceeded));
@@ -183,6 +187,11 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
               copies, goal.c_str(), server.threads(),
               static_cast<unsigned long long>(s.answers),
               s.last_batch_qps, s.p50_us, s.p99_us);
+  const lps::serve::QueryRoute& route = s.query_routes.at(*query);
+  if (route.route != lps::serve::ServeRoute::kNone) {
+    std::printf("%% route: %s (%s)\n",
+                lps::serve::ServeRouteName(route.route), route.reason);
+  }
   for (const lps::serve::ServeAnswer& a : *answers) {
     if (!a.status.ok()) {
       std::printf("error: %s\n", a.status.ToString().c_str());
@@ -192,6 +201,7 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   // Accumulate counters for .stats; latency/QPS reflect the last batch.
   total->batches += s.batches;
   total->queries += s.queries;
+  total->probe_queries += s.probe_queries;
   total->demand_queries += s.demand_queries;
   total->scan_queries += s.scan_queries;
   total->builtin_queries += s.builtin_queries;
@@ -200,6 +210,8 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   total->errors += s.errors;
   total->rewrites_built += s.rewrites_built;
   total->rewrite_cache_hits += s.rewrite_cache_hits;
+  total->index_misses += s.index_misses;
+  total->side_index_builds += s.side_index_builds;
   total->worker_rebinds += s.worker_rebinds;
   total->worker_refreshes += s.worker_refreshes;
   total->deadline_exceeded += s.deadline_exceeded;

@@ -15,7 +15,7 @@ RelationScanSource::RelationScanSource(TermStore* store,
   if (mask_ == 0) {
     rel->AllIndices(&indices_);
   } else {
-    // Copy: Lookup's reference is invalidated by later Lookups. Posting
+    // Copy: Lookup's span is invalidated by later Lookups. Posting
     // lists keep tombstoned rows; drop them here.
     indices_.clear();
     for (RowId r : rel->Lookup(mask_, key)) {
@@ -27,7 +27,8 @@ RelationScanSource::RelationScanSource(TermStore* store,
 RelationScanSource::RelationScanSource(TermStore* store,
                                        UnifyOptions unify,
                                        const Relation* rel,
-                                       std::vector<TermId> patterns)
+                                       std::vector<TermId> patterns,
+                                       const MaskIndex* side_index)
     : store_(store),
       unify_(unify),
       rel_(rel),
@@ -37,6 +38,9 @@ RelationScanSource::RelationScanSource(TermStore* store,
   if (rel == nullptr) return;
   if (mask_ == 0) {
     rel->AllIndices(&indices_);
+  } else if (side_index != nullptr && side_index->mask() == mask_ &&
+             side_index->built_up_to() == rel->size()) {
+    rel->LookupWith(*side_index, key, &indices_);
   } else {
     index_hit_ = rel->LookupSnapshot(mask_, key, rel->size(), &indices_);
   }

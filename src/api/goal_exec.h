@@ -52,8 +52,12 @@ class RelationScanSource final : public AnswerSource {
   /// the *caller's* store (a worker's private clone when serving): it
   /// must share the relation's TermId prefix, i.e. be the snapshot
   /// store itself or a TermStore::Clone() descendant of it.
+  /// `side_index`, when given, is an index over `rel` built outside it
+  /// (the query server's side indexes); it answers the probe when its
+  /// mask is the bound mask and it covers every row.
   RelationScanSource(TermStore* store, UnifyOptions unify,
-                     const Relation* rel, std::vector<TermId> patterns);
+                     const Relation* rel, std::vector<TermId> patterns,
+                     const MaskIndex* side_index = nullptr);
 
   Result<bool> Next(TupleRef* out) override;
   void Rewind() override { pos_ = 0; }

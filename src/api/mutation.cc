@@ -243,13 +243,9 @@ Status MutationBatch::Commit() {
         bool maintained,
         maintainer.Maintain(inserts, retracts, &s->fact_counts_));
     if (maintained) {
-      // The maintainer skips the O(index-buckets) IndexBytes walk;
-      // keep the last fully computed figure.
-      size_t index_bytes = s->eval_stats_.index_bytes;
       // The ingest block (last LoadFactsParallel) survives overwrites.
       const EvalStats::IngestStats ingest = s->eval_stats_.ingest;
       s->eval_stats_ = maintainer.stats();
-      s->eval_stats_.index_bytes = index_bytes;
       s->eval_stats_.ingest = ingest;
       return Status::OK();  // still converged
     }

@@ -911,7 +911,7 @@ Status BottomUpEvaluator::ExecSteps(
           indices.push_back(static_cast<RowId>(ti));
         }
       } else {
-        const std::vector<RowId>& hits = rel.Lookup(mask, key);
+        const std::span<const RowId> hits = rel.Lookup(mask, key);
         indices.assign(hits.begin(), hits.end());
       }
       Lease<Tuple> row_lease(&tuple_pool_);

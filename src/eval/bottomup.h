@@ -105,6 +105,9 @@ struct EvalStats {
   size_t delta_rounds = 0;        // semi-naive rounds seeded from the batch
   size_t overdeleted_tuples = 0;  // tuples tombstoned by DRed over-delete
   size_t rederived_tuples = 0;    // over-deleted tuples saved by rederive
+  size_t compactions = 0;         // relations rebuilt from their live rows
+                                  // after the batch (tombstones > half
+                                  // the live rows)
   // ---- Bulk ingestion (api/ingest.cc), filled by the last
   // Session::LoadFactsParallel; all zero otherwise. Unlike the rest of
   // EvalStats this block survives later evaluations and mutation

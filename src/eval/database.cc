@@ -162,15 +162,24 @@ std::vector<std::pair<PredicateId, RelationStats>> Database::CollectStats()
   return out;
 }
 
-Database::StorageStats Database::storage_stats(
-    bool with_index_bytes) const {
+Database::StorageStats Database::storage_stats() const {
   StorageStats s;
   for (const auto& [pred, rel] : relations_) {
     s.arena_bytes += rel->ArenaBytes();
-    if (with_index_bytes) s.index_bytes += rel->IndexBytes();
+    s.index_bytes += rel->IndexBytes();
     s.dedup_probes += rel->dedup_probes();
   }
   return s;
+}
+
+size_t Database::CompactTombstones() {
+  size_t compacted = 0;
+  for (const auto& [pred, rel] : relations_) {
+    if (rel->dead_count() * 2 <= rel->live_size()) continue;
+    MutableRelation(pred)->Compact();
+    ++compacted;
+  }
+  return compacted;
 }
 
 std::unique_ptr<Database> Database::CloneInto(TermStore* store,

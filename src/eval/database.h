@@ -165,16 +165,21 @@ class Database {
   std::vector<std::pair<PredicateId, RelationStats>> CollectStats() const;
 
   /// Aggregate storage-engine footprint across all relations (see
-  /// Relation::ArenaBytes / IndexBytes / dedup_probes). IndexBytes
-  /// walks every posting bucket, so callers on a per-commit fast path
-  /// (incremental maintenance) pass `with_index_bytes = false` and
-  /// keep the last fully computed figure instead.
+  /// Relation::ArenaBytes / IndexBytes / dedup_probes); O(relations +
+  /// indexes).
   struct StorageStats {
     size_t arena_bytes = 0;
     size_t index_bytes = 0;
     uint64_t dedup_probes = 0;
   };
-  StorageStats storage_stats(bool with_index_bytes = true) const;
+  StorageStats storage_stats() const;
+
+  /// Compacts (Relation::Compact) every relation holding more dead
+  /// rows than half its live rows, so the arena stays within 1.5x the
+  /// live rows however long retract-heavy churn runs. Returns how many
+  /// relations were compacted. Their RowIds change: call only between
+  /// incremental batches, never while watermarks or row lists are held.
+  size_t CompactTombstones();
 
   /// Deterministic dump: relations ordered by PredicateId, rows in
   /// insertion order (dead rows skipped).

@@ -74,12 +74,13 @@ Result<bool> IncrementalMaintainer::Maintain(
   LPS_RETURN_IF_ERROR(Retract(retracts));
   LPS_RETURN_IF_ERROR(Insert(inserts));
 
-  // Cheap storage counters only: IndexBytes walks every posting
-  // bucket, far more work than a small batch itself. The caller keeps
-  // the last fully computed index_bytes.
-  Database::StorageStats storage =
-      db_->storage_stats(/*with_index_bytes=*/false);
+  // Tombstones accrue under retract-heavy churn; compact once they
+  // outnumber half the live rows. The batch's watermarks and row lists
+  // are dead by now, so renumbering rows is safe.
+  eval_.stats_.compactions = db_->CompactTombstones();
+  Database::StorageStats storage = db_->storage_stats();
   eval_.stats_.arena_bytes = storage.arena_bytes;
+  eval_.stats_.index_bytes = storage.index_bytes;
   eval_.stats_.dedup_probes = storage.dedup_probes;
   return true;
 }
@@ -451,7 +452,7 @@ Status IncrementalMaintainer::FlatDeltaStep(
       rows[r] = static_cast<RowId>(r);
     }
   } else {
-    const std::vector<RowId>& hits = rel.Lookup(mask, key);
+    const std::span<const RowId> hits = rel.Lookup(mask, key);
     rows.assign(hits.begin(), hits.end());
   }
   for (RowId r : rows) {
@@ -522,7 +523,7 @@ bool IncrementalMaintainer::FlatWitnessStep(
       rows[r] = static_cast<RowId>(r);
     }
   } else {
-    const std::vector<RowId>& hits = rel.Lookup(mask, key);
+    const std::span<const RowId> hits = rel.Lookup(mask, key);
     rows.assign(hits.begin(), hits.end());
   }
   for (RowId r : rows) {

@@ -6,8 +6,6 @@
 
 namespace lps {
 
-const std::vector<RowId> Relation::kEmpty;
-
 uint64_t NextContentTick() {
   // Relaxed is enough: ticks only need to be unique and monotonic per
   // observer, never to order unrelated memory operations.
@@ -30,9 +28,7 @@ size_t Slot(size_t hash, size_t cap_mask) {
   return static_cast<size_t>(Mix64(hash)) & cap_mask;
 }
 
-}  // namespace
-
-size_t Relation::HashMasked(TupleRef t, uint32_t mask) {
+size_t HashMasked(TupleRef t, uint32_t mask) {
   size_t seed = 0x51ULL;
   // Iterate set bits only: mask bits are guaranteed < 32 by ColumnBit,
   // so this never reads past column 31.
@@ -43,13 +39,140 @@ size_t Relation::HashMasked(TupleRef t, uint32_t mask) {
   return seed;
 }
 
-bool Relation::MaskedEquals(TupleRef a, TupleRef b, uint32_t mask) {
+bool MaskedEquals(TupleRef a, TupleRef b, uint32_t mask) {
   for (uint32_t m = mask; m != 0; m &= m - 1) {
     size_t i = static_cast<size_t>(std::countr_zero(m));
     if (a[i] != b[i]) return false;
   }
   return true;
 }
+
+}  // namespace
+
+// ---- MaskIndex ---------------------------------------------------------
+
+void MaskIndex::CatchUp(const Relation& rel) {
+  if (slots_.empty()) slots_.assign(kInitialSlots, 0);
+  if (built_up_to_ == 0) {
+    Build(rel);
+  } else {
+    for (size_t i = built_up_to_; i < rel.size(); ++i) {
+      Append(rel, static_cast<RowId>(i));
+    }
+  }
+  built_up_to_ = rel.size();
+}
+
+uint32_t MaskIndex::Locate(const Relation& rel, RowId r, bool* created) {
+  if ((buckets_.size() + 1) * 4 > slots_.size() * 3) GrowSlots(rel);
+  TupleRef t = rel.row(r);
+  const size_t cap_mask = slots_.size() - 1;
+  size_t slot = Slot(HashMasked(t, mask_), cap_mask);
+  for (;;) {
+    const uint32_t entry = slots_[slot];
+    if (entry == 0) {
+      const auto ordinal = static_cast<uint32_t>(buckets_.size());
+      slots_[slot] = ordinal + 1;
+      buckets_.push_back({static_cast<uint32_t>(pool_.size()), 1, 1});
+      pool_.push_back(r);
+      *created = true;
+      return ordinal;
+    }
+    const Bucket& b = buckets_[entry - 1];
+    if (MaskedEquals(rel.row(pool_[b.offset]), t, mask_)) {
+      *created = false;
+      return entry - 1;
+    }
+    slot = (slot + 1) & cap_mask;
+  }
+}
+
+void MaskIndex::Build(const Relation& rel) {
+  // Pass 1 counts every bucket's rows. The pool temporarily holds one
+  // row per bucket - its first, the key row Locate compares against.
+  for (size_t r = 0; r < rel.size(); ++r) {
+    bool created = false;
+    const uint32_t k = Locate(rel, static_cast<RowId>(r), &created);
+    if (!created) ++buckets_[k].size;
+  }
+  // Pass 2 lays the postings out back to back, each bucket exactly
+  // full, in RowId order. Each bucket's key row goes in first, so the
+  // second Locate of every row finds its bucket without a per-row
+  // side array.
+  std::vector<RowId> first = std::move(pool_);
+  pool_.assign(rel.size(), 0);
+  uint32_t offset = 0;
+  for (size_t k = 0; k < buckets_.size(); ++k) {
+    Bucket& b = buckets_[k];
+    b.offset = offset;
+    b.capacity = b.size;
+    offset += b.size;
+    b.size = 0;
+    pool_[b.offset] = first[k];
+  }
+  for (size_t r = 0; r < rel.size(); ++r) {
+    bool created = false;
+    Bucket& b = buckets_[Locate(rel, static_cast<RowId>(r), &created)];
+    pool_[b.offset + b.size++] = static_cast<RowId>(r);
+  }
+}
+
+void MaskIndex::Append(const Relation& rel, RowId r) {
+  bool created = false;
+  Bucket& b = buckets_[Locate(rel, r, &created)];
+  if (created) return;
+  if (b.size == b.capacity) {
+    const uint32_t cap = b.capacity * 2;
+    if (b.offset + b.capacity == pool_.size()) {
+      pool_.resize(b.offset + cap);  // ends the pool: grow in place
+    } else {
+      const auto at = static_cast<uint32_t>(pool_.size());
+      pool_.resize(at + cap);
+      std::copy_n(pool_.begin() + b.offset, b.size, pool_.begin() + at);
+      b.offset = at;
+    }
+    b.capacity = cap;
+  }
+  pool_[b.offset + b.size++] = r;
+}
+
+void MaskIndex::GrowSlots(const Relation& rel) {
+  const size_t cap = slots_.size() * 2;
+  std::vector<uint32_t> fresh(cap, 0);
+  const size_t cap_mask = cap - 1;
+  for (uint32_t entry : slots_) {
+    if (entry == 0) continue;
+    const RowId first = pool_[buckets_[entry - 1].offset];
+    size_t slot = Slot(HashMasked(rel.row(first), mask_), cap_mask);
+    while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
+    fresh[slot] = entry;
+  }
+  slots_.swap(fresh);
+}
+
+std::span<const RowId> MaskIndex::Probe(const Relation& rel,
+                                        TupleRef key) const {
+  if (slots_.empty()) return {};
+  const size_t cap_mask = slots_.size() - 1;
+  size_t slot = Slot(HashMasked(key, mask_), cap_mask);
+  for (;;) {
+    const uint32_t entry = slots_[slot];
+    if (entry == 0) return {};
+    const Bucket& b = buckets_[entry - 1];
+    if (MaskedEquals(rel.row(pool_[b.offset]), key, mask_)) {
+      return {pool_.data() + b.offset, b.size};
+    }
+    slot = (slot + 1) & cap_mask;
+  }
+}
+
+size_t MaskIndex::Bytes() const {
+  return slots_.capacity() * sizeof(uint32_t) +
+         buckets_.capacity() * sizeof(Bucket) +
+         pool_.capacity() * sizeof(RowId);
+}
+
+// ---- Relation ----------------------------------------------------------
 
 void Relation::PrefetchInsert(size_t hash) const {
   if (dedup_slots_.empty()) return;
@@ -88,15 +211,17 @@ Relation::InsertOutcome Relation::InsertRow(TupleRef t, size_t hash) {
   return {true, false, r};
 }
 
-void Relation::GrowDedup() {
-  const size_t cap = dedup_slots_.size() * 2;
+void Relation::GrowDedup() { RehashDedup(dedup_slots_.size() * 2); }
+
+void Relation::RehashDedup(size_t cap) {
+  // Every arena row has exactly one entry, so rebuilding from the
+  // arena is the same as moving the old table's entries.
   std::vector<uint32_t> fresh(cap, 0);
   const size_t cap_mask = cap - 1;
-  for (uint32_t entry : dedup_slots_) {
-    if (entry == 0) continue;
-    size_t slot = Slot(HashRange(row(entry - 1)), cap_mask);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    size_t slot = Slot(HashRange(row(static_cast<RowId>(r))), cap_mask);
     while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
-    fresh[slot] = entry;
+    fresh[slot] = static_cast<uint32_t>(r) + 1;
   }
   dedup_slots_.swap(fresh);
 }
@@ -118,15 +243,7 @@ size_t Relation::Reserve(size_t additional_rows) {
   }
   // One rehash straight to the final size, in place of the `doublings`
   // incremental rehashes the upcoming inserts would have triggered.
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t cap_mask = cap - 1;
-  for (uint32_t entry : dedup_slots_) {
-    if (entry == 0) continue;
-    size_t slot = Slot(HashRange(row(entry - 1)), cap_mask);
-    while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
-    fresh[slot] = entry;
-  }
-  dedup_slots_.swap(fresh);
+  RehashDedup(cap);
   return doublings;
 }
 
@@ -171,102 +288,34 @@ bool Relation::Revive(RowId r) {
   return true;
 }
 
-Relation::Index* Relation::GetIndex(uint32_t mask) {
-  Index* index = nullptr;
-  for (Index& ix : indexes_) {
-    if (ix.mask == mask) {
+MaskIndex* Relation::GetIndex(uint32_t mask) {
+  MaskIndex* index = nullptr;
+  for (MaskIndex& ix : indexes_) {
+    if (ix.mask() == mask) {
       index = &ix;
       break;
     }
   }
-  if (index == nullptr) {
-    indexes_.push_back(Index{mask, 0, {}, {}});
-    index = &indexes_.back();
-    index->slots.assign(kInitialSlots, 0);
-  }
-  // Catch up with newly inserted rows, in insertion order so posting
-  // lists stay ascending.
-  for (size_t i = index->built_up_to; i < num_rows_; ++i) {
-    IndexInsert(index, static_cast<RowId>(i));
-  }
-  index->built_up_to = num_rows_;
+  if (index == nullptr) index = &indexes_.emplace_back(mask);
+  index->CatchUp(*this);  // newly inserted rows, in insertion order
   return index;
 }
 
-void Relation::IndexInsert(Index* ix, RowId r) {
-  if ((ix->postings.size() + 1) * 4 > ix->slots.size() * 3) {
-    GrowIndex(ix, *this);
-  }
-  TupleRef t = row(r);
-  const size_t cap_mask = ix->slots.size() - 1;
-  size_t slot = Slot(HashMasked(t, ix->mask), cap_mask);
-  for (;;) {
-    uint32_t entry = ix->slots[slot];
-    if (entry == 0) {
-      ix->slots[slot] = static_cast<uint32_t>(ix->postings.size()) + 1;
-      ix->postings.emplace_back(1, r);
-      return;
-    }
-    std::vector<RowId>& bucket = ix->postings[entry - 1];
-    if (MaskedEquals(row(bucket.front()), t, ix->mask)) {
-      bucket.push_back(r);
-      return;
-    }
-    slot = (slot + 1) & cap_mask;
-  }
-}
-
-void Relation::GrowIndex(Index* ix, const Relation& rel) {
-  const size_t cap = ix->slots.size() * 2;
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t cap_mask = cap - 1;
-  for (uint32_t entry : ix->slots) {
-    if (entry == 0) continue;
-    size_t slot = Slot(
-        HashMasked(rel.row(ix->postings[entry - 1].front()), ix->mask),
-        cap_mask);
-    while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
-    fresh[slot] = entry;
-  }
-  ix->slots.swap(fresh);
-}
-
-const std::vector<RowId>* Relation::ProbeIndex(const Index& ix,
-                                               TupleRef key) const {
-  if (ix.slots.empty()) return nullptr;
-  const size_t cap_mask = ix.slots.size() - 1;
-  size_t slot = Slot(HashMasked(key, ix.mask), cap_mask);
-  for (;;) {
-    uint32_t entry = ix.slots[slot];
-    if (entry == 0) return nullptr;
-    const std::vector<RowId>& bucket = ix.postings[entry - 1];
-    if (MaskedEquals(row(bucket.front()), key, ix.mask)) return &bucket;
-    slot = (slot + 1) & cap_mask;
-  }
-}
-
-const std::vector<RowId>& Relation::Lookup(uint32_t mask, TupleRef key) {
-  Index* index = GetIndex(mask);
-  const std::vector<RowId>* bucket = ProbeIndex(*index, key);
-  return bucket == nullptr ? kEmpty : *bucket;
+std::span<const RowId> Relation::Lookup(uint32_t mask, TupleRef key) {
+  return GetIndex(mask)->Probe(*this, key);
 }
 
 void Relation::EnsureIndex(uint32_t mask) { GetIndex(mask); }
 
 bool Relation::HasIndexBuilt(uint32_t mask) const {
-  for (const Index& ix : indexes_) {
-    if (ix.mask == mask) return ix.built_up_to == num_rows_;
+  for (const MaskIndex& ix : indexes_) {
+    if (ix.mask() == mask) return ix.built_up_to() == num_rows_;
   }
   return false;
 }
 
 void Relation::FreezeIndexes() {
-  for (Index& ix : indexes_) {
-    for (size_t i = ix.built_up_to; i < num_rows_; ++i) {
-      IndexInsert(&ix, static_cast<RowId>(i));
-    }
-    ix.built_up_to = num_rows_;
-  }
+  for (MaskIndex& ix : indexes_) ix.CatchUp(*this);
 }
 
 bool Relation::LookupSnapshot(uint32_t mask, TupleRef key,
@@ -283,16 +332,13 @@ bool Relation::LookupSnapshot(uint32_t mask, TupleRef key,
     }
     return true;
   }
-  for (const Index& ix : indexes_) {
-    if (ix.mask != mask || ix.built_up_to < watermark) continue;
-    const std::vector<RowId>* bucket = ProbeIndex(ix, key);
-    if (bucket != nullptr) {
-      // Posting lists are ascending, so the prefix below the watermark
-      // is a clean cut. Tombstoned rows stay listed and are skipped.
-      for (RowId ti : *bucket) {
-        if (ti >= watermark) break;
-        if (IsLive(ti)) out->push_back(ti);
-      }
+  for (const MaskIndex& ix : indexes_) {
+    if (ix.mask() != mask || ix.built_up_to() < watermark) continue;
+    // Posting lists are ascending, so the prefix below the watermark
+    // is a clean cut. Tombstoned rows stay listed and are skipped.
+    for (RowId ti : ix.Probe(*this, key)) {
+      if (ti >= watermark) break;
+      if (IsLive(ti)) out->push_back(ti);
     }
     return true;
   }
@@ -307,6 +353,14 @@ bool Relation::LookupSnapshot(uint32_t mask, TupleRef key,
     if (match) out->push_back(static_cast<RowId>(i));
   }
   return false;
+}
+
+void Relation::LookupWith(const MaskIndex& index, TupleRef key,
+                          std::vector<RowId>* out) const {
+  out->clear();
+  for (RowId r : index.Probe(*this, key)) {
+    if (IsLive(r)) out->push_back(r);
+  }
 }
 
 void Relation::AllIndices(std::vector<RowId>* out) const {
@@ -330,11 +384,36 @@ RelationStats Relation::Stats() const {
   // rows (DESIGN.md section 17).
   s.arena_rows = num_rows_;
   s.masks.reserve(indexes_.size());
-  for (const Index& ix : indexes_) {
-    if (ix.built_up_to == 0 || ix.postings.empty()) continue;
-    s.masks.push_back({ix.mask, ix.postings.size(), ix.built_up_to});
+  for (const MaskIndex& ix : indexes_) {
+    if (ix.built_up_to() == 0 || ix.distinct_keys() == 0) continue;
+    s.masks.push_back({ix.mask(), ix.distinct_keys(), ix.built_up_to()});
   }
   return s;
+}
+
+void Relation::Compact() {
+  if (dead_count_ == 0) return;
+  const size_t live = num_rows_ - dead_count_;
+  std::vector<TermId> arena;
+  arena.reserve(live * arity_);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    if (!IsLive(static_cast<RowId>(r))) continue;
+    TupleRef t = row(static_cast<RowId>(r));
+    arena.insert(arena.end(), t.begin(), t.end());
+  }
+  arena_.swap(arena);  // the old, larger buffer is freed with `arena`
+  num_rows_ = live;
+  dead_.clear();
+  dead_.shrink_to_fit();
+  dead_count_ = 0;
+  size_t cap = kInitialSlots;
+  while (num_rows_ * 4 > cap * 3) cap *= 2;
+  RehashDedup(cap);
+  for (MaskIndex& ix : indexes_) {
+    ix = MaskIndex(ix.mask());
+    ix.CatchUp(*this);
+  }
+  content_tick_ = NextContentTick();
 }
 
 size_t Relation::ArenaBytes() const {
@@ -343,13 +422,7 @@ size_t Relation::ArenaBytes() const {
 
 size_t Relation::IndexBytes() const {
   size_t bytes = dedup_slots_.capacity() * sizeof(uint32_t);
-  for (const Index& ix : indexes_) {
-    bytes += ix.slots.capacity() * sizeof(uint32_t);
-    bytes += ix.postings.capacity() * sizeof(std::vector<RowId>);
-    for (const std::vector<RowId>& bucket : ix.postings) {
-      bytes += bucket.capacity() * sizeof(RowId);
-    }
-  }
+  for (const MaskIndex& ix : indexes_) bytes += ix.Bytes();
   return bytes;
 }
 

@@ -61,9 +61,9 @@ uint64_t NextContentTick();
 struct RelationStats {
   size_t live_rows = 0;
   /// Physical rows in the arena, tombstones included: what a full scan
-  /// actually walks. Sustained retract-heavy churn can grow this past
-  /// live_rows (re-adding an erased tuple revives its row, but rows
-  /// retracted and never re-added stay as tombstones), and the planner
+  /// actually walks. Retract-heavy churn grows this past live_rows
+  /// (re-adding an erased tuple revives its row, but rows retracted and
+  /// never re-added stay as tombstones until Compact), and the planner
   /// charges scans by it.
   size_t arena_rows = 0;
   struct MaskStats {
@@ -75,21 +75,93 @@ struct RelationStats {
   std::vector<MaskStats> masks;
 };
 
+class Relation;
+
+/// Hash index of one relation's rows on one bound-column mask, with a
+/// flat posting layout: every bucket's ascending RowIds live in one
+/// shared pool, so the whole index is three vectors and copying it
+/// (every copy-on-write clone of a changed relation copies its indexes)
+/// costs O(1) allocations instead of one per bucket. Keys are never
+/// copied - a bucket is identified by its first RowId and hashed and
+/// compared by projecting that row's masked columns from the arena.
+///
+/// A Relation owns one MaskIndex per mask it has been probed on; the
+/// query server also builds standalone ones over frozen snapshot
+/// relations it may not mutate (serve/server.h side indexes). Either
+/// way the index is only meaningful against the relation, and the
+/// RowIds, it was built from.
+class MaskIndex {
+ public:
+  explicit MaskIndex(uint32_t mask) : mask_(mask) {}
+
+  uint32_t mask() const { return mask_; }
+  /// Row prefix [0, built_up_to()) already indexed.
+  size_t built_up_to() const { return built_up_to_; }
+  /// Distinct keys indexed so far (the planner's selectivity input).
+  size_t distinct_keys() const { return buckets_.size(); }
+
+  /// Indexes rows [built_up_to(), rel.size()) of `rel`, in RowId order
+  /// so postings stay ascending. Invalidates spans from Probe.
+  void CatchUp(const Relation& rel);
+
+  /// RowIds (ascending, tombstoned rows included) of the indexed rows
+  /// whose masked columns equal `key`'s. Pure read: safe from any
+  /// number of threads while nobody calls CatchUp.
+  std::span<const RowId> Probe(const Relation& rel, TupleRef key) const;
+
+  /// Bytes reserved by the slot table, bucket table and posting pool.
+  size_t Bytes() const;
+
+ private:
+  /// Postings of one key: pool_[offset, offset + size). A full bucket
+  /// doubles into fresh space at the pool's end (or in place when it
+  /// already ends the pool); the abandoned run stays as slack. Each
+  /// bucket's abandoned runs sum to less than its capacity, so the pool
+  /// stays within 2x the capacity in use.
+  struct Bucket {
+    uint32_t offset;
+    uint32_t size;
+    uint32_t capacity;
+  };
+
+  /// Ordinal of the bucket holding row r's key. A new key gets a
+  /// bucket of size 1 holding r (`*created` set).
+  uint32_t Locate(const Relation& rel, RowId r, bool* created);
+  /// First CatchUp: a two-pass build that leaves every bucket exactly
+  /// full and the pool without slack. Appending every row instead
+  /// would leave the doubling slack in each index built over an
+  /// existing relation (DESIGN.md section 12 has the measurement).
+  void Build(const Relation& rel);
+  void Append(const Relation& rel, RowId r);
+  void GrowSlots(const Relation& rel);
+
+  uint32_t mask_;
+  size_t built_up_to_ = 0;
+  std::vector<uint32_t> slots_;  // bucket ordinal + 1; 0 = empty
+  std::vector<Bucket> buckets_;
+  std::vector<RowId> pool_;
+};
+
 /// Append-only tuple set over a flat row arena. Row order is insertion
 /// order, which the semi-naive evaluator exploits: rows at RowId >=
 /// some watermark form the delta of an iteration.
 ///
-/// Retraction is tombstoning, not compaction: EraseRow marks the row
-/// dead but leaves the arena, the dedup entry, and every per-mask
-/// posting list untouched, so RowIds (and the watermark arithmetic
-/// built on them) stay stable. The dedup table keeps exactly one
-/// entry per stored tuple value, dead or alive: Insert of a tuple
-/// whose probe lands on a dead row *revives* that row in place
-/// instead of appending a duplicate, so toggle churn (retract/insert
-/// of the same facts) runs at steady arena size. Readers filter
-/// through IsLive - LookupSnapshot/AllIndices do it internally,
-/// callers of Lookup/rows() must do it themselves. An erase/revive
-/// round trip is invisible to the indexes.
+/// Retraction tombstones; compaction is a separate, explicit step.
+/// EraseRow marks the row dead but leaves the arena, the dedup entry,
+/// and every per-mask posting list untouched, so RowIds (and the
+/// watermark arithmetic built on them) stay stable for as long as the
+/// caller needs them - incremental maintenance takes its watermarks
+/// per batch. The dedup table keeps exactly one entry per stored tuple
+/// value, dead or alive: Insert of a tuple whose probe lands on a dead
+/// row *revives* that row in place instead of appending a duplicate,
+/// so toggle churn (retract/insert of the same facts) runs at steady
+/// arena size. Readers filter through IsLive - LookupSnapshot/
+/// AllIndices do it internally, callers of Lookup/rows() must do it
+/// themselves. An erase/revive round trip is invisible to the indexes.
+/// Churn that retracts rows for good (re-parenting, drift) grows the
+/// arena instead; Compact() then rebuilds the relation from its live
+/// rows, renumbering them, between batches (see
+/// Database::CompactTombstones).
 class Relation {
  public:
   /// Bound-column masks are 32-bit, so only the first 32 columns can
@@ -251,10 +323,10 @@ class Relation {
   /// = column i bound) equal the corresponding entries of `key`
   /// (entries for unbound columns are ignored). Builds the per-mask
   /// index on first use and maintains it incrementally afterwards. The
-  /// returned reference is invalidated by the next Insert or Lookup.
-  const std::vector<RowId>& Lookup(uint32_t mask, TupleRef key);
-  const std::vector<RowId>& Lookup(uint32_t mask,
-                                   std::initializer_list<TermId> key) {
+  /// returned span is invalidated by the next Insert or Lookup.
+  std::span<const RowId> Lookup(uint32_t mask, TupleRef key);
+  std::span<const RowId> Lookup(uint32_t mask,
+                                std::initializer_list<TermId> key) {
     return Lookup(mask, TupleRef(key.begin(), key.size()));
   }
 
@@ -293,8 +365,25 @@ class Relation {
                           watermark, out);
   }
 
+  /// LookupSnapshot through an index built outside the relation (a
+  /// server side index, MaskIndex::CatchUp'ed over this relation):
+  /// fills `out` with the live RowIds whose `index.mask()` columns
+  /// equal `key`. The index must cover every row (built_up_to() ==
+  /// size()). Pure read, like LookupSnapshot.
+  void LookupWith(const MaskIndex& index, TupleRef key,
+                  std::vector<RowId>* out) const;
+
   /// All RowIds (identity scan).
   void AllIndices(std::vector<RowId>* out) const;
+
+  /// Rebuilds the relation from its live rows: a fresh arena holding
+  /// them in their current relative order, a fresh dedup table, and
+  /// every per-mask index rebuilt over the new RowIds. Tombstones (and
+  /// the revive-in-place they enabled) are gone afterwards, every
+  /// RowId may change, and the content tick advances - views, RowIds
+  /// and watermarks taken before the call are all invalid. No-op when
+  /// nothing is dead.
+  void Compact();
 
   /// Statistics snapshot for the cost-based planner: live rows plus
   /// the distinct-key count of every index built so far. Pure reads of
@@ -307,7 +396,8 @@ class Relation {
 
   /// Bytes reserved by the row arena.
   size_t ArenaBytes() const;
-  /// Bytes reserved by the dedup table and every per-mask index.
+  /// Bytes reserved by the dedup table and every per-mask index
+  /// (O(indexes): the posting layout is flat).
   size_t IndexBytes() const;
   /// Open-addressing probes made by Insert-side dedup so far. Counted
   /// only on the mutating path, so concurrent Contains/LookupSnapshot
@@ -316,25 +406,11 @@ class Relation {
   uint64_t dedup_probes() const { return dedup_probes_; }
 
  private:
-  /// One per-mask index: an open-addressed table of bucket ordinals
-  /// over posting lists of RowIds. Keys are never copied - a bucket is
-  /// identified by its first RowId and hashed/compared by projecting
-  /// that row's masked columns straight from the arena.
-  struct Index {
-    uint32_t mask;
-    size_t built_up_to = 0;           // row prefix already indexed
-    std::vector<uint32_t> slots;      // bucket ordinal + 1; 0 = empty
-    std::vector<std::vector<RowId>> postings;  // ordinal -> ascending
-  };
-
-  static size_t HashMasked(TupleRef t, uint32_t mask);
-  static bool MaskedEquals(TupleRef a, TupleRef b, uint32_t mask);
-
   void GrowDedup();
-  Index* GetIndex(uint32_t mask);
-  void IndexInsert(Index* ix, RowId r);
-  static void GrowIndex(Index* ix, const Relation& rel);
-  const std::vector<RowId>* ProbeIndex(const Index& ix, TupleRef key) const;
+  /// Re-inserts every arena row's dedup entry into a zeroed table of
+  /// `cap` slots (a power of two).
+  void RehashDedup(size_t cap);
+  MaskIndex* GetIndex(uint32_t mask);
 
   size_t arity_;
   uint64_t content_tick_ = 0;
@@ -348,8 +424,7 @@ class Relation {
   uint64_t dedup_probes_ = 0;
   std::vector<bool> dead_;            // sized lazily on first erase
   size_t dead_count_ = 0;
-  std::vector<Index> indexes_;
-  static const std::vector<RowId> kEmpty;
+  std::vector<MaskIndex> indexes_;
 };
 
 /// Bit for column i in a bound-column mask. Columns past

@@ -1,6 +1,7 @@
 #include "lang/fact_ledger.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -35,38 +36,63 @@ void FactLedger::clear() {
 
 void FactLedger::RemoveAt(const std::vector<size_t>& sorted_indices) {
   if (sorted_indices.empty()) return;
-  std::vector<std::shared_ptr<const Chunk>> new_sealed;
-  std::vector<size_t> new_starts;
-  new_sealed.reserve(sealed_.size());
-  new_starts.reserve(sealed_.size());
-  size_t new_total = 0;
+  std::vector<std::shared_ptr<const Chunk>> out;
+  out.reserve(sealed_.size());
+  // out.back() when this call built it: still private, so later pieces
+  // merge into it in place.
+  std::shared_ptr<Chunk> open;
+  // Appends one surviving piece - an untouched shared chunk, or the
+  // survivors of a touched one in `fresh` - merging it into out.back()
+  // whenever the two fit in one chunk. That keeps every adjacent pair
+  // of sealed chunks above kChunkSize facts together, so shrunken
+  // chunks never pile up: the chunk count stays within 2 * size() /
+  // kChunkSize + 1 however much churn the ledger sees.
+  auto append = [&](std::shared_ptr<const Chunk> shared, Chunk* fresh) {
+    const size_t n = shared != nullptr ? shared->size() : fresh->size();
+    if (n == 0) return;
+    if (!out.empty() && out.back()->size() + n <= kChunkSize) {
+      if (open == nullptr) {  // copy-on-write the shared neighbor
+        open = std::make_shared<Chunk>(*out.back());
+        out.back() = open;
+      }
+      if (shared != nullptr) {
+        open->insert(open->end(), shared->begin(), shared->end());
+      } else {
+        open->insert(open->end(), std::make_move_iterator(fresh->begin()),
+                     std::make_move_iterator(fresh->end()));
+      }
+      return;
+    }
+    if (shared != nullptr) {
+      out.push_back(std::move(shared));
+      open = nullptr;
+    } else {
+      open = std::make_shared<Chunk>(std::move(*fresh));
+      out.push_back(open);
+    }
+  };
   size_t k = 0;  // cursor into sorted_indices
   for (size_t c = 0; c < sealed_.size(); ++c) {
+    const Chunk& chunk = *sealed_[c];
     const size_t lo = starts_[c];
-    const size_t hi = lo + sealed_[c]->size();
+    const size_t hi = lo + chunk.size();
     const size_t k0 = k;
     while (k < sorted_indices.size() && sorted_indices[k] < hi) ++k;
     if (k == k0) {  // untouched: keep sharing the sealed chunk
-      new_starts.push_back(new_total);
-      new_total += sealed_[c]->size();
-      new_sealed.push_back(sealed_[c]);
+      append(std::move(sealed_[c]), nullptr);
       continue;
     }
-    auto rebuilt = std::make_shared<Chunk>();
-    rebuilt->reserve(hi - lo - (k - k0));
+    Chunk survivors;
+    survivors.reserve(chunk.size() - (k - k0));
     size_t kk = k0;
     for (size_t i = lo; i < hi; ++i) {
       if (kk < k && sorted_indices[kk] == i) {
         ++kk;
         continue;
       }
-      rebuilt->push_back((*sealed_[c])[i - lo]);
+      survivors.push_back(chunk[i - lo]);
     }
-    if (!rebuilt->empty()) {
-      new_starts.push_back(new_total);
-      new_total += rebuilt->size();
-      new_sealed.push_back(std::move(rebuilt));
-    }
+    append(nullptr, &survivors);
   }
   Chunk new_tail;
   new_tail.reserve(tail_.size());
@@ -78,9 +104,13 @@ void FactLedger::RemoveAt(const std::vector<size_t>& sorted_indices) {
     }
     new_tail.push_back(std::move(tail_[i]));
   }
-  sealed_ = std::move(new_sealed);
-  starts_ = std::move(new_starts);
-  sealed_size_ = new_total;
+  sealed_ = std::move(out);
+  starts_.clear();
+  sealed_size_ = 0;
+  for (const auto& chunk : sealed_) {
+    starts_.push_back(sealed_size_);
+    sealed_size_ += chunk->size();
+  }
   tail_ = std::move(new_tail);
   size_ = sealed_size_ + tail_.size();
 }
@@ -111,7 +141,7 @@ size_t FactLedger::SharedChunksWith(const FactLedger& other) const {
 
 FactLedger::const_iterator FactLedger::begin() const {
   // Sealed chunks are never empty (push_back seals full chunks only
-  // and RemoveAt drops emptied ones), so (0, 0) is the first element
+  // and RemoveAt never keeps an emptied one), so (0, 0) is the first element
   // whether it lives in sealed_[0] or the tail - and equals end() for
   // the fully empty ledger.
   return const_iterator(this, 0, 0);

@@ -19,9 +19,11 @@ namespace lps {
 
 class FactLedger {
  public:
-  // Seal threshold: big enough that the per-chunk shared_ptr overhead
-  // is noise, small enough that the tail copied per clone stays cheap.
-  static constexpr size_t kChunkSize = 256;
+  // Seal threshold. Small, because a retract rebuilds the chunk it
+  // hits (deep-copying every surviving Literal) and may merge it with a
+  // neighbor: the copy work per retract is O(kChunkSize). Large enough
+  // that a clone's per-chunk shared_ptr copies stay cheap.
+  static constexpr size_t kChunkSize = 32;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -34,9 +36,12 @@ class FactLedger {
   void clear();
 
   /// Erases the facts at `sorted_indices` (ascending, no duplicates,
-  /// all < size()). Chunks with no removed entry stay shared; touched
-  /// chunks are rebuilt as fresh (possibly shorter) copies. Chunks
-  /// that empty out are dropped.
+  /// all < size()), keeping the order of the rest. Chunks with no
+  /// removed entry stay shared; touched chunks are rebuilt as fresh
+  /// (possibly shorter) copies, and a chunk that would sit next to one
+  /// it fits together with is merged into it, so every adjacent pair of
+  /// sealed chunks holds more than kChunkSize facts. Chunks that empty
+  /// out are dropped.
   void RemoveAt(const std::vector<size_t>& sorted_indices);
 
   /// Removes the first fact matching (pred, args); returns true when

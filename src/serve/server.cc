@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <iterator>
+#include <set>
 
 #include "api/goal_exec.h"
 #include "base/hash.h"
@@ -41,6 +43,7 @@ void EmitRow(const TermStore& store, TupleRef t, bool record,
 
 void MergeCounters(ServeStats* into, const ServeStats& d) {
   into->queries += d.queries;
+  into->probe_queries += d.probe_queries;
   into->demand_queries += d.demand_queries;
   into->scan_queries += d.scan_queries;
   into->builtin_queries += d.builtin_queries;
@@ -63,6 +66,22 @@ double Percentile(const std::vector<double>& sorted, double p) {
 }
 
 }  // namespace
+
+const char* ServeRouteName(ServeRoute route) {
+  switch (route) {
+    case ServeRoute::kNone:
+      return "none";
+    case ServeRoute::kProbe:
+      return "probe";
+    case ServeRoute::kScan:
+      return "scan";
+    case ServeRoute::kDemand:
+      return "demand";
+    case ServeRoute::kBuiltin:
+      return "builtin";
+  }
+  return "?";
+}
 
 QueryServer::QueryServer(SnapshotRegistry* registry, ServeOptions options)
     : registry_(registry),
@@ -202,6 +221,10 @@ ServeAnswer QueryServer::ExecuteOne(
   }
   QueryEntry& e = Materialize(w, snap, req.query);
   if (!e.error.ok()) return fail(e.error);
+  if (w->routes.size() < queries_.size()) w->routes.resize(queries_.size());
+  auto take_route = [&](ServeRoute route, const char* reason) {
+    w->routes[req.query] = {route, reason};
+  };
 
   TermStore* store = w->store.get();
   const Signature& sig = w->program->signature();
@@ -251,13 +274,17 @@ ServeAnswer QueryServer::ExecuteOne(
   }
 
   const bool is_builtin = sig.IsBuiltin(e.goal.pred);
-  const bool demand_route = !is_builtin && e.plan.demand_candidate;
+  // A converged snapshot holds the least model: its relations answer
+  // every bound query completely, so only an unevaluated snapshot
+  // needs the per-request magic-set evaluation.
+  const bool demand_route =
+      !is_builtin && !snap.converged() && e.plan.demand_candidate;
 
   // The empty fast path (serve/resolve.h): a missing plain constant is
   // underivable - empty on every route; a missing int/set/function
-  // term is empty on a pure snapshot scan, but a demand evaluation
-  // could still derive it, and a builtin could compute it, so those
-  // routes intern into the scratch store and run.
+  // term is empty on a snapshot read, but a demand evaluation could
+  // still derive it, and a builtin could compute it, so those routes
+  // intern into the scratch store and run.
   if (!is_builtin && (worst == MissKind::kConstant ||
                       (worst != MissKind::kNone && !demand_route))) {
     ++w->delta.empty_fast_path;
@@ -285,6 +312,8 @@ ServeAnswer QueryServer::ExecuteOne(
     // Builtin goals run their plan against the snapshot's active
     // domains; computed terms (sums, unions) intern into the scratch.
     ++w->delta.builtin_queries;
+    take_route(ServeRoute::kBuiltin, "builtin goal: plan over the active "
+                                     "domains");
     std::vector<Tuple> rows;
     GoalPlanExecutor exec(store, &snap.database(), builtins, e.goal);
     Status s = exec.Run(e.plan.body.steps, bindings, &rows);
@@ -296,23 +325,39 @@ ServeAnswer QueryServer::ExecuteOne(
     return finish();
   }
 
+  // Every parameter names a goal variable and binds it to a ground
+  // term (checked above), so exactly the BoundArgs columns come out of
+  // the substitution ground.
+  const std::vector<bool> bound = BoundArgs(shapes_[req.query], req);
   std::vector<TermId> patterns(e.goal.args.size());
-  std::vector<bool> bound(e.goal.args.size());
   uint32_t mask = 0;
   bool any_bound = false;
   for (size_t i = 0; i < e.goal.args.size(); ++i) {
     patterns[i] = bindings.Apply(store, e.goal.args[i]);
-    bound[i] = store->is_ground(patterns[i]);
     any_bound = any_bound || bound[i];
     if (bound[i]) mask |= ColumnBit(i);
   }
 
-  // Read-only stream over the frozen snapshot relation (prebuilt
-  // indexes or a bounded scan; never a lazy build).
-  auto scan = [&]() -> ServeAnswer {
-    ++w->delta.scan_queries;
+  // Read-only stream over the frozen snapshot relation: a probe of
+  // the snapshot's own index or of a side index provisioned before the
+  // fan-out, else a bounded scan; never a lazy build.
+  auto read = [&](const char* scan_reason) -> ServeAnswer {
     const Relation* rel = snap.database().FindRelation(e.goal.pred);
-    RelationScanSource src(store, builtins.unify, rel, patterns);
+    const MaskIndex* side = nullptr;
+    ++w->delta.scan_queries;
+    if (any_bound && snap.converged()) {
+      ++w->delta.probe_queries;
+      if (rel != nullptr && mask != 0) {
+        side = FindSideIndex(e.goal.pred, mask, *rel);
+      }
+      take_route(ServeRoute::kProbe,
+                 side != nullptr
+                     ? "converged snapshot: probe of a server side index"
+                     : "converged snapshot: probe of a snapshot index");
+    } else {
+      take_route(ServeRoute::kScan, scan_reason);
+    }
+    RelationScanSource src(store, builtins.unify, rel, patterns, side);
     if (!src.index_hit()) ++w->delta.index_misses;
     TupleRef t;
     for (;;) {
@@ -330,13 +375,16 @@ ServeAnswer QueryServer::ExecuteOne(
     return finish();
   };
 
-  if (!demand_route || !any_bound) return scan();
+  if (!any_bound) return read("no bound argument: full snapshot scan");
+  if (!demand_route) {
+    return read("unevaluated snapshot, goal not demand-evaluable: "
+                "snapshot scan");
+  }
 
   // ---- Demand (magic-set) evaluation in a private database -----------
   // Mirrors PreparedQuery::ExecuteDemand (api/query.cc), with the cache
-  // per (query, mask) in this worker and the fallback a snapshot scan
-  // instead of a session Evaluate(): the snapshot already holds the
-  // fixpoint (Snapshot::converged), so the scan answers are complete.
+  // per (query, mask) in this worker and the fallback a scan of the
+  // (unevaluated) snapshot instead of a session Evaluate().
   const bool cacheable = e.goal.args.size() <= 32;
   CachedRewrite uncached;
   CachedRewrite* entry = nullptr;
@@ -363,9 +411,12 @@ ServeAnswer QueryServer::ExecuteOne(
   }
   if (entry->rewrite == nullptr) {
     out.note = "demand fallback: " + entry->fallback_reason;
-    return scan();
+    return read("unevaluated snapshot, magic rewrite fell back: snapshot "
+                "scan");
   }
   ++w->delta.demand_queries;
+  take_route(ServeRoute::kDemand,
+             "unevaluated snapshot: magic-set evaluation");
   const std::shared_ptr<const MagicProgram>& rw = entry->rewrite;
 
   Database db(store, &rw->program.signature());
@@ -433,7 +484,95 @@ Result<size_t> QueryServer::Prepare(const std::string& goal_text) {
     w.entries.resize(queries_.size());
     return s;
   }
+  const Signature& sig = w.program->signature();
+  QueryShape shape;
+  shape.pred = sig.Name(e.goal.pred);
+  shape.arity = e.goal.args.size();
+  shape.builtin = sig.IsBuiltin(e.goal.pred);
+  for (TermId arg : e.goal.args) {
+    std::vector<TermId> vars;
+    w.store->CollectVariables(arg, &vars);
+    std::vector<uint32_t>& indexes = shape.arg_vars.emplace_back();
+    for (TermId v : vars) {
+      std::string name = w.store->symbols().Name(w.store->symbol(v));
+      auto it = std::find(shape.vars.begin(), shape.vars.end(), name);
+      if (it == shape.vars.end()) {
+        it = shape.vars.insert(it, std::move(name));
+      }
+      indexes.push_back(static_cast<uint32_t>(it - shape.vars.begin()));
+    }
+  }
+  shapes_.push_back(std::move(shape));
+  stats_.query_routes.resize(queries_.size());
   return id;
+}
+
+std::vector<bool> QueryServer::BoundArgs(const QueryShape& shape,
+                                         const ServeRequest& request) {
+  std::vector<bool> named(shape.vars.size(), false);
+  for (const auto& param : request.params) {
+    for (size_t v = 0; v < shape.vars.size(); ++v) {
+      if (shape.vars[v] == param.first) named[v] = true;
+    }
+  }
+  std::vector<bool> bound(shape.arg_vars.size(), true);
+  for (size_t i = 0; i < shape.arg_vars.size(); ++i) {
+    for (uint32_t v : shape.arg_vars[i]) bound[i] = bound[i] && named[v];
+  }
+  return bound;
+}
+
+void QueryServer::ProvisionSideIndexes(
+    const PinnedSnapshot& pin, const std::vector<ServeRequest>& requests) {
+  const Snapshot& snap = *pin.snapshot();
+  const Database& db = snap.database();
+  if (pin.epoch() != side_epoch_) {
+    side_epoch_ = pin.epoch();
+    for (auto it = side_indexes_.begin(); it != side_indexes_.end();) {
+      const Relation* rel = db.FindRelation(it->first.first);
+      const bool keep = rel != nullptr &&
+                        rel->content_tick() == it->second.content_tick &&
+                        !rel->HasIndexBuilt(it->first.second);
+      it = keep ? std::next(it) : side_indexes_.erase(it);
+    }
+  }
+  // Only a converged snapshot is probed (unevaluated ones take the
+  // demand route); ExecuteOne probes the same BoundArgs mask.
+  if (!snap.converged()) return;
+  std::set<std::pair<size_t, uint32_t>> seen;  // (query, mask)
+  for (const ServeRequest& req : requests) {
+    if (req.query >= shapes_.size()) continue;
+    const QueryShape& shape = shapes_[req.query];
+    if (shape.builtin) continue;
+    const std::vector<bool> bound = BoundArgs(shape, req);
+    uint32_t mask = 0;
+    for (size_t i = 0; i < bound.size(); ++i) {
+      if (bound[i]) mask |= ColumnBit(i);
+    }
+    if (mask == 0 || !seen.emplace(req.query, mask).second) continue;
+    const PredicateId pred = snap.signature().Lookup(shape.pred, shape.arity);
+    if (pred == kInvalidPredicate) continue;
+    const Relation* rel = db.FindRelation(pred);
+    if (rel == nullptr || rel->HasIndexBuilt(mask)) continue;
+    SideIndex& side = side_indexes_[{pred, mask}];
+    if (side.index != nullptr && side.content_tick == rel->content_tick()) {
+      continue;
+    }
+    side.content_tick = rel->content_tick();
+    side.index = std::make_unique<MaskIndex>(mask);
+    side.index->CatchUp(*rel);
+    ++stats_.side_index_builds;
+  }
+}
+
+const MaskIndex* QueryServer::FindSideIndex(PredicateId pred, uint32_t mask,
+                                            const Relation& rel) const {
+  auto it = side_indexes_.find({pred, mask});
+  if (it == side_indexes_.end() ||
+      it->second.content_tick != rel.content_tick()) {
+    return nullptr;
+  }
+  return it->second.index.get();
 }
 
 Result<ServeAnswer> QueryServer::Execute(const ServeRequest& request) {
@@ -463,6 +602,7 @@ Result<std::vector<ServeAnswer>> QueryServer::ExecuteBatch(
   std::vector<ServeAnswer> answers(requests.size());
   const Snapshot& snap = *pin.snapshot();
   const size_t lanes = pool_.size();
+  ProvisionSideIndexes(pin, requests);
   // Requests are striped over the lanes; every lane writes disjoint
   // `answers` slots and touches only its own Worker, so the job needs
   // no synchronization. Run's return is the barrier that publishes
@@ -480,6 +620,11 @@ Result<std::vector<ServeAnswer>> QueryServer::ExecuteBatch(
   for (Worker& w : workers_) {
     MergeCounters(&stats_, w.delta);
     w.delta = ServeStats{};
+    for (size_t q = 0; q < w.routes.size(); ++q) {
+      if (w.routes[q].route == ServeRoute::kNone) continue;
+      stats_.query_routes[q] = w.routes[q];
+      w.routes[q] = QueryRoute{};
+    }
     latencies.insert(latencies.end(), w.latencies.begin(),
                      w.latencies.end());
     w.latencies.clear();
@@ -493,6 +638,7 @@ Result<std::vector<ServeAnswer>> QueryServer::ExecuteBatch(
   stats_.relations_cloned = cow.relations_cloned;
   stats_.bytes_shared = cow.bytes_shared;
   stats_.store_shared = cow.store_shared;
+  stats_.side_indexes = side_indexes_.size();
   stats_.last_batch_micros = batch_micros;
   stats_.last_batch_qps =
       (requests.empty() || batch_micros <= 0)

@@ -19,6 +19,18 @@
 //  * a private result Database per demand query, owned for exactly the
 //    duration of one request.
 //
+// Routing (DESIGN.md section 15): a converged snapshot already holds
+// the least model, so a bound point query on it is an indexed probe
+// of the materialized relation (the probe route). Only a snapshot
+// frozen unevaluated (FreezeOptions::evaluate = false) sends bound
+// queries on derived predicates through a per-request magic-set
+// evaluation (the demand route). A probe whose (relation, mask) index
+// the snapshot lacks uses a server side index: built once on the
+// batch's calling thread before the fan-out, read-only across lanes,
+// keyed by the relation's content tick so copy-on-write republication
+// keeps it for unchanged relations (DESIGN.md section 18), and dropped
+// once its relation leaves the pinned snapshot.
+//
 // Workers re-bind (fresh clone, caches dropped) only when the batch
 // pins a *newer* epoch than the one they were bound to, so steady-state
 // serving against one snapshot pays the clone once per worker.
@@ -42,6 +54,7 @@
 
 #include "base/worker_pool.h"
 #include "eval/plan.h"
+#include "eval/relation.h"
 #include "lang/clause.h"
 #include "serve/registry.h"
 #include "transform/magic.h"
@@ -105,19 +118,40 @@ struct ServeAnswer {
   std::string note;
 };
 
+/// How a request was answered (see the routing note at the top).
+enum class ServeRoute : uint8_t {
+  kNone,     // not executed yet
+  kProbe,    // bound query, converged snapshot: indexed probe
+  kScan,     // snapshot relation scan
+  kDemand,   // magic-set evaluation in a private database
+  kBuiltin,  // builtin goal plan over the active domains
+};
+const char* ServeRouteName(ServeRoute route);
+
+/// The route a prepared query's latest execution took, and why.
+struct QueryRoute {
+  ServeRoute route = ServeRoute::kNone;
+  const char* reason = "";  // static text
+};
+
 /// Cumulative server counters plus the latency profile of the most
 /// recent batch. All zero before the first batch.
 struct ServeStats {
   uint64_t queries = 0;         // requests served (including errors)
   uint64_t demand_queries = 0;  // answered by a magic-set evaluation
-  uint64_t scan_queries = 0;    // answered by a snapshot relation scan
+  uint64_t scan_queries = 0;    // answered from a snapshot relation
+                                // (probe or full scan)
+  uint64_t probe_queries = 0;   // of those, bound queries on a converged
+                                // snapshot: the probe route
   uint64_t builtin_queries = 0; // answered by a builtin goal plan
   uint64_t empty_fast_path = 0; // proven empty without touching rows
   uint64_t errors = 0;          // requests with !status.ok()
   uint64_t answers = 0;         // total answer tuples produced
   uint64_t rewrites_built = 0;  // magic rewrites constructed
   uint64_t rewrite_cache_hits = 0;
-  uint64_t index_misses = 0;    // snapshot scans with no prebuilt index
+  uint64_t index_misses = 0;    // bound snapshot reads with no index
+  uint64_t side_index_builds = 0;  // server side indexes built
+  uint64_t side_indexes = 0;  // side indexes held after the last batch
   uint64_t worker_rebinds = 0;  // worker re-clones after a new epoch
   /// Worker took the cheap path on a new epoch: the republished
   /// snapshot has the same rule_epoch/store_size/signature as the one
@@ -131,6 +165,11 @@ struct ServeStats {
   // policy outcome, not a malfunction) --------------------------------
   uint64_t deadline_exceeded = 0;   // requests cut off mid-flight
   uint64_t admission_rejected = 0;  // requests rejected before any work
+
+  /// By query id: the route of each prepared query's latest execution
+  /// (kNone until it runs; requests that end on the empty fast path or
+  /// an error leave it as it was).
+  std::vector<QueryRoute> query_routes;
 
   // ---- Copy-on-write republication witnesses of the snapshot the
   // most recent batch pinned (Snapshot::cow_stats): how much of it
@@ -184,6 +223,31 @@ class QueryServer {
     std::string fallback_reason;
   };
 
+  /// What the batch's calling thread needs to know of a prepared query
+  /// to provision side indexes before the fan-out: its predicate and
+  /// which variables a request must bind to bind each argument.
+  struct QueryShape {
+    std::string pred;
+    size_t arity = 0;
+    bool builtin = false;
+    std::vector<std::string> vars;               // distinct, by name
+    std::vector<std::vector<uint32_t>> arg_vars;  // indexes into vars
+  };
+
+  /// Which arguments of `shape` a request binds: those whose every
+  /// variable the request names. The one definition of the bound
+  /// columns, shared by ProvisionSideIndexes and ExecuteOne so a side
+  /// index is always built for the mask a lane will probe.
+  static std::vector<bool> BoundArgs(const QueryShape& shape,
+                                     const ServeRequest& request);
+
+  /// A server side index over one snapshot relation, valid while the
+  /// pinned snapshot's relation carries `content_tick`.
+  struct SideIndex {
+    uint64_t content_tick = 0;
+    std::unique_ptr<MaskIndex> index;
+  };
+
   /// One prepared query as materialized in one worker's private
   /// store/program (parsed from the shared goal text).
   struct QueryEntry {
@@ -212,6 +276,7 @@ class QueryServer {
     std::vector<QueryEntry> entries;  // indexed by query id
     ServeStats delta;                 // counters gathered this batch
     std::vector<double> latencies;    // per-request micros this batch
+    std::vector<QueryRoute> routes;   // by query id, this batch
   };
 
   /// Binds the worker to `pin`'s snapshot. Same epoch: no-op. Newer
@@ -226,6 +291,15 @@ class QueryServer {
   ServeAnswer ExecuteOne(Worker* w, const Snapshot& snap,
                          const ServeRequest& request,
                          std::chrono::steady_clock::time_point batch_deadline);
+  /// Calling thread, before the fan-out: drops side indexes whose
+  /// relation left `pin`'s snapshot, then builds every one the batch's
+  /// probes need that the snapshot does not carry itself.
+  void ProvisionSideIndexes(const PinnedSnapshot& pin,
+                            const std::vector<ServeRequest>& requests);
+  /// The side index serving a probe of `rel` (pred's relation in the
+  /// pinned snapshot) on `mask`, or null. Read-only: lanes call it.
+  const MaskIndex* FindSideIndex(PredicateId pred, uint32_t mask,
+                                 const Relation& rel) const;
 
   SnapshotRegistry* registry_;
   ServeOptions options_;
@@ -236,7 +310,12 @@ class QueryServer {
   /// and guards queries_/stats_.
   mutable std::mutex mu_;
   std::vector<std::string> queries_;  // goal text by id
+  std::vector<QueryShape> shapes_;    // by query id
   ServeStats stats_;
+  /// Written only by ProvisionSideIndexes under mu_; lanes read it
+  /// between the provisioning and the end of the fan-out.
+  std::map<std::pair<PredicateId, uint32_t>, SideIndex> side_indexes_;
+  uint64_t side_epoch_ = 0;  // epoch side_indexes_ was last pruned for
 };
 
 }  // namespace lps::serve

@@ -59,10 +59,8 @@ struct FreezeOptions {
 struct CowStats {
   size_t relations_shared = 0;  // relations aliased from the previous snapshot
   size_t relations_cloned = 0;  // relations deep-copied (touched or new)
-  // Arena bytes of the shared relations. Index bytes are deliberately
-  // excluded: Relation::IndexBytes walks every posting bucket, which
-  // would put an O(index) pass on every republish just to report a
-  // witness (the actual shared footprint is larger than this figure).
+  // Arena bytes of the shared relations. Index bytes are not counted,
+  // so the actual shared footprint is larger than this figure.
   size_t bytes_shared = 0;
   size_t fact_chunks_shared = 0;  // sealed EDB fact chunks aliased from prev
   bool store_shared = false;    // TermStore aliased (no new terms/symbols)

@@ -2,6 +2,8 @@
 // (Definitions 1, 5, 12, 14; Example 8's restriction).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lang/formula.h"
 #include "lang/program.h"
 #include "lang/validate.h"
@@ -249,7 +251,8 @@ Literal Fact(PredicateId pred, TermId arg) {
 TEST(FactLedgerTest, PushIndexIterateAgree) {
   FactLedger ledger;
   EXPECT_TRUE(ledger.empty());
-  const size_t n = FactLedger::kChunkSize * 2 + 37;  // 2 sealed + tail
+  // 2 sealed chunks + a half-full tail.
+  const size_t n = FactLedger::kChunkSize * 2 + FactLedger::kChunkSize / 2;
   for (size_t i = 0; i < n; ++i) {
     ledger.push_back(Fact(1, static_cast<TermId>(i)));
   }
@@ -324,6 +327,61 @@ TEST(FactLedgerTest, RemoveAtSpanningChunksAndTail) {
   EXPECT_EQ(two.sealed_chunks(), 1u);
   EXPECT_EQ(two.size(), FactLedger::kChunkSize);
   EXPECT_EQ(two[0].args[0], static_cast<TermId>(FactLedger::kChunkSize));
+}
+
+TEST(FactLedgerTest, ChurnKeepsChunksBoundedSharedAndOrdered) {
+  // Drift churn: every round retracts a few scattered facts and appends
+  // as many fresh ones, the shape of a re-parenting commit. Without
+  // coalescing, shrunken chunks would pile up at a constant size().
+  FactLedger ledger;
+  std::vector<TermId> oracle;
+  const size_t live = FactLedger::kChunkSize * 40;
+  TermId next = 0;
+  for (size_t i = 0; i < live; ++i) {
+    ledger.push_back(Fact(1, next));
+    oracle.push_back(next++);
+  }
+  uint64_t seed = 12345;
+  auto rand_below = [&](size_t n) {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<size_t>((seed >> 33) % n);
+  };
+  for (int round = 0; round < 400; ++round) {
+    std::vector<size_t> drop;
+    while (drop.size() < 6) {
+      const size_t i = rand_below(oracle.size());
+      if (std::find(drop.begin(), drop.end(), i) == drop.end()) {
+        drop.push_back(i);
+      }
+    }
+    std::sort(drop.begin(), drop.end());
+    const FactLedger before = ledger;
+    ledger.RemoveAt(drop);
+    for (size_t k = drop.size(); k-- > 0;) {
+      oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(drop[k]));
+    }
+    // A retract rebuilds the chunks it hits and at most merges them
+    // with neighbors: everything else stays physically shared.
+    EXPECT_GE(ledger.SharedChunksWith(before) + 3 * drop.size(),
+              before.sealed_chunks())
+        << "round " << round;
+    for (size_t k = 0; k < drop.size(); ++k) {
+      ledger.push_back(Fact(1, next));
+      oracle.push_back(next++);
+    }
+    // Adjacent sealed chunks always hold more than kChunkSize facts
+    // together, which bounds the chunk count by the live facts.
+    ASSERT_LE(ledger.sealed_chunks(),
+              2 * ledger.size() / FactLedger::kChunkSize + 1)
+        << "round " << round;
+  }
+  ASSERT_EQ(ledger.size(), oracle.size());
+  size_t i = 0;
+  for (const Literal& f : ledger) {
+    ASSERT_EQ(f.args[0], oracle[i]) << "position " << i;
+    ASSERT_EQ(ledger[i].args[0], oracle[i]) << "position " << i;
+    ++i;
+  }
 }
 
 TEST(FactLedgerTest, RemoveFirstMatchesPredAndArgs) {

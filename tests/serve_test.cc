@@ -59,6 +59,17 @@ std::shared_ptr<const Snapshot> FreezeGraph(Session* session) {
   return *frozen;
 }
 
+// Freezes without evaluating: on a session that never evaluated, the
+// snapshot is unconverged and bound queries take the demand route.
+std::shared_ptr<const Snapshot> FreezeUnevaluated(Session* session) {
+  serve::FreezeOptions opts;
+  opts.evaluate = false;
+  auto frozen = session->Freeze(opts);
+  EXPECT_TRUE(frozen.ok()) << frozen.status().ToString();
+  EXPECT_FALSE((*frozen)->converged());
+  return *frozen;
+}
+
 // ---- TermStore const lookups ----------------------------------------
 
 TEST(TryLookupTest, FindsInternedTermsAndMissesOthers) {
@@ -255,11 +266,14 @@ ServeOptions TwoThreads() {
   return o;
 }
 
+// The demand route and the empty fast path: the snapshot is frozen
+// unevaluated, so a bound query on a derived predicate runs a
+// magic-set evaluation.
 TEST(QueryServerTest, ScanDemandAndEmptyFastPaths) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));
   SnapshotRegistry registry;
-  registry.Publish(FreezeGraph(&session));
+  registry.Publish(FreezeUnevaluated(&session));
   QueryServer server(&registry, TwoThreads());
 
   auto path_q = server.Prepare("path(X, Y)");
@@ -279,16 +293,9 @@ TEST(QueryServerTest, ScanDemandAndEmptyFastPaths) {
   std::set<std::string> rows(ans->rows.begin(), ans->rows.end());
   EXPECT_TRUE(rows.count("(a, e)")) << ans->rows.size();
 
-  // EDB scan point query on a prebuilt index.
-  req.query = *edge_q;
-  req.params = {{"X", "b"}};
-  ans = server.Execute(req);
-  ASSERT_OK(ans.status());
-  EXPECT_EQ(ans->count, 1u);
-  EXPECT_EQ(ans->rows[0], "(b, c)");
-
   // Unknown constant: trivially empty without touching a row, on both
   // the scan route and the demand route.
+  req.query = *edge_q;
   req.params = {{"X", "nowhere"}};
   ans = server.Execute(req);
   ASSERT_OK(ans.status());
@@ -306,20 +313,149 @@ TEST(QueryServerTest, ScanDemandAndEmptyFastPaths) {
   EXPECT_FALSE((*batch)[0].status.ok());
 
   serve::ServeStats stats = server.stats();
-  EXPECT_EQ(stats.queries, 5u);
+  EXPECT_EQ(stats.queries, 4u);
   EXPECT_EQ(stats.demand_queries, 1u);
-  EXPECT_GE(stats.scan_queries, 1u);
+  EXPECT_EQ(stats.probe_queries, 0u);
   EXPECT_EQ(stats.empty_fast_path, 2u);
   EXPECT_EQ(stats.errors, 1u);
   EXPECT_GE(stats.rewrites_built, 1u);
+  EXPECT_EQ(stats.side_index_builds, 0u);
   EXPECT_GT(stats.last_batch_qps, 0.0);
+  ASSERT_EQ(stats.query_routes.size(), 2u);
+  EXPECT_EQ(stats.query_routes[*path_q].route, serve::ServeRoute::kDemand);
+  // Only the empty fast path ran edge(X, Y): no route recorded.
+  EXPECT_EQ(stats.query_routes[*edge_q].route, serve::ServeRoute::kNone);
+}
+
+// A converged snapshot holds the least model: bound queries probe it,
+// through a server side index when the snapshot lacks one for the
+// mask, and never run a magic-set evaluation.
+TEST(QueryServerTest, ConvergedSnapshotTakesProbeRoute) {
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  SnapshotRegistry registry;
+  auto snap = FreezeGraph(&session);
+  ASSERT_TRUE(snap->converged());
+  const Relation* path =
+      snap->database().FindRelation(snap->signature().Lookup("path", 2));
+  ASSERT_NE(path, nullptr);
+  ASSERT_FALSE(path->HasIndexBuilt(0b01));  // the server must supply it
+  registry.Publish(snap);
+  QueryServer server(&registry, TwoThreads());
+  auto path_q = server.Prepare("path(X, Y)");
+  ASSERT_OK(path_q.status());
+  auto edge_q = server.Prepare("edge(X, Y)");
+  ASSERT_OK(edge_q.status());
+
+  const std::map<std::string, size_t> expected = {
+      {"a", 4}, {"b", 3}, {"c", 2}, {"d", 1}, {"e", 0}};
+  std::vector<ServeRequest> batch;
+  for (const auto& [c, n] : expected) {
+    ServeRequest req;
+    req.query = *path_q;
+    req.params = {{"X", c}};
+    batch.push_back(req);
+  }
+  for (int round = 0; round < 2; ++round) {
+    auto answers = server.ExecuteBatch(batch);
+    ASSERT_OK(answers.status());
+    size_t i = 0;
+    for (const auto& [c, n] : expected) {
+      ASSERT_OK((*answers)[i].status);
+      EXPECT_EQ((*answers)[i].count, n) << c;
+      auto truth = session.Query("path(" + c + ", Y)");
+      ASSERT_OK(truth.status());
+      EXPECT_EQ((*answers)[i].count, truth->size()) << c;
+      ++i;
+    }
+  }
+  ServeRequest edge;
+  edge.query = *edge_q;
+  edge.params = {{"X", "b"}};
+  auto ans = server.Execute(edge);
+  ASSERT_OK(ans.status());
+  ASSERT_EQ(ans->count, 1u);
+  EXPECT_EQ(ans->rows[0], "(b, c)");
+  // Nothing bound: the scan route.
+  edge.params.clear();
+  ans = server.Execute(edge);
+  ASSERT_OK(ans.status());
+  EXPECT_EQ(ans->count, 4u);
+
+  serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.demand_queries, 0u);
+  EXPECT_EQ(stats.rewrites_built, 0u);
+  EXPECT_EQ(stats.index_misses, 0u);
+  EXPECT_EQ(stats.probe_queries, 2 * expected.size() + 1);
+  EXPECT_EQ(stats.scan_queries, stats.probe_queries + 1);
+  // Each side index was built once, in the first batch that needed
+  // it, and serves every later batch on this snapshot.
+  EXPECT_GE(stats.side_index_builds, 1u);
+  EXPECT_EQ(stats.side_indexes, stats.side_index_builds);
+  ASSERT_OK(server.ExecuteBatch(batch).status());
+  ASSERT_OK(server.Execute(edge).status());
+  EXPECT_EQ(server.stats().side_index_builds, stats.side_index_builds);
+  ASSERT_EQ(stats.query_routes.size(), 2u);
+  EXPECT_EQ(stats.query_routes[*path_q].route, serve::ServeRoute::kProbe);
+  EXPECT_STREQ(serve::ServeRouteName(stats.query_routes[*path_q].route),
+               "probe");
+  EXPECT_NE(std::string(stats.query_routes[*path_q].reason).find("side"),
+            std::string::npos);
+  EXPECT_EQ(stats.query_routes[*edge_q].route, serve::ServeRoute::kScan);
+  // The snapshot itself was never touched.
+  EXPECT_FALSE(path->HasIndexBuilt(0b01));
+}
+
+TEST(QueryServerTest, SideIndexCoversEveryBoundArgumentShape) {
+  // A column is bound by a constant in the goal, by a parameter, or by
+  // a parameter naming a variable that occurs in two columns; each
+  // batch must find the side index it probes already provisioned.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Load("path(a, a)."));
+  SnapshotRegistry registry;
+  registry.Publish(FreezeGraph(&session));
+  QueryServer server(&registry, TwoThreads());
+  struct Case {
+    std::string goal;
+    std::vector<std::pair<std::string, std::string>> params;
+    std::string truth;
+  };
+  const std::vector<Case> cases = {
+      {"path(a, Y)", {}, "path(a, Y)"},
+      {"path(X, Y)", {{"X", "b"}, {"Y", "d"}}, "path(b, d)"},
+      {"path(X, X)", {{"X", "a"}}, "path(a, a)"},
+      {"path(X, c)", {{"X", "a"}}, "path(a, c)"},
+  };
+  for (const Case& c : cases) {
+    auto q = server.Prepare(c.goal);
+    ASSERT_OK(q.status());
+    ServeRequest req;
+    req.query = *q;
+    req.params = c.params;
+    auto ans = server.ExecuteBatch({req, req});
+    ASSERT_OK(ans.status());
+    auto truth = session.Query(c.truth);
+    ASSERT_OK(truth.status());
+    for (const ServeAnswer& a : *ans) {
+      ASSERT_OK(a.status);
+      EXPECT_EQ(a.count, truth->size()) << c.goal;
+    }
+    EXPECT_EQ(server.stats().query_routes[*q].route,
+              serve::ServeRoute::kProbe)
+        << c.goal;
+  }
+  const serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.index_misses, 0u);
+  EXPECT_EQ(stats.demand_queries, 0u);
+  EXPECT_EQ(stats.probe_queries, 2 * cases.size());
 }
 
 TEST(QueryServerTest, RewriteCacheHitsAndRebindOnRepublish) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));
   SnapshotRegistry registry;
-  registry.Publish(FreezeGraph(&session));
+  registry.Publish(FreezeUnevaluated(&session));
   ServeOptions opts;
   opts.threads = 1;  // one worker, so cache behavior is deterministic
   QueryServer server(&registry, opts);
@@ -341,7 +477,7 @@ TEST(QueryServerTest, RewriteCacheHitsAndRebindOnRepublish) {
   // Publish a grown database: the worker re-binds and the new edge
   // becomes visible; the rewrite cache restarts.
   ASSERT_OK(session.Load("edge(e, f)."));
-  registry.Publish(FreezeGraph(&session));
+  registry.Publish(FreezeUnevaluated(&session));
   req.params = {{"X", "e"}};
   auto ans = server.Execute(req);
   ASSERT_OK(ans.status());
@@ -356,7 +492,7 @@ TEST(QueryServerTest, FactOnlyRepublishRefreshesWorkerInPlace) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));
   SnapshotRegistry registry;
-  registry.Publish(FreezeGraph(&session));
+  registry.Publish(FreezeUnevaluated(&session));
   ServeOptions opts;
   opts.threads = 1;  // one worker, so bind accounting is deterministic
   QueryServer server(&registry, opts);
@@ -378,7 +514,7 @@ TEST(QueryServerTest, FactOnlyRepublishRefreshesWorkerInPlace) {
   MutationBatch batch = session.Mutate();
   ASSERT_OK(batch.AddText("edge(b, a)"));  // cycle: path(a, a) appears
   ASSERT_OK(batch.Commit());
-  registry.Publish(FreezeGraph(&session));
+  registry.Publish(FreezeUnevaluated(&session));
 
   ans = server.Execute(req);
   ASSERT_OK(ans.status());
@@ -632,6 +768,163 @@ TEST(CowSnapshotTest, SharesUnchangedClonesMutatedByteIdentical) {
   serve::ServeStats stats = server.stats();
   EXPECT_EQ(stats.relations_shared, cow.relations_shared);
   EXPECT_TRUE(stats.store_shared);
+}
+
+// Sorted rendered rows of path(c, Y) for every c in `consts`.
+std::vector<std::vector<std::string>> ServeAll(
+    QueryServer* server, size_t query, const std::vector<std::string>& consts) {
+  std::vector<ServeRequest> batch;
+  for (const std::string& c : consts) {
+    ServeRequest req;
+    req.query = query;
+    req.params = {{"X", c}};
+    batch.push_back(req);
+  }
+  auto answers = server->ExecuteBatch(batch);
+  EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+  std::vector<std::vector<std::string>> out;
+  for (const ServeAnswer& a : *answers) {
+    EXPECT_TRUE(a.status.ok()) << a.status.ToString();
+    std::vector<std::string> rows = a.rows;
+    std::sort(rows.begin(), rows.end());
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+// The probe route (converged copy-on-write chain) and the demand route
+// (an unevaluated snapshot of the same facts) render byte-identical
+// answers, before and after a republish.
+TEST(CowSnapshotTest, ProbeAndDemandRoutesAgreeAcrossRepublish) {
+  Options opt;
+  opt.incremental = true;
+  Session served(LanguageMode::kLPS, opt);
+  ASSERT_OK(served.Load(kTwoFamilies));
+  ASSERT_OK(served.Evaluate());
+  Session lazy(LanguageMode::kLPS);
+  ASSERT_OK(lazy.Load(kTwoFamilies));
+
+  SnapshotRegistry probe_reg;
+  SnapshotRegistry demand_reg;
+  auto prev = served.FreezeIncremental(nullptr);
+  ASSERT_OK(prev.status());
+  probe_reg.Publish(*prev);
+  demand_reg.Publish(FreezeUnevaluated(&lazy));
+  QueryServer probe(&probe_reg, TwoThreads());
+  QueryServer demand(&demand_reg, TwoThreads());
+  auto pq = probe.Prepare("path(X, Y)");
+  auto dq = demand.Prepare("path(X, Y)");
+  ASSERT_OK(pq.status());
+  ASSERT_OK(dq.status());
+  const std::vector<std::string> consts = {"a", "b", "c"};
+
+  auto check = [&](const char* when) {
+    auto by_probe = ServeAll(&probe, *pq, consts);
+    auto by_demand = ServeAll(&demand, *dq, consts);
+    EXPECT_EQ(by_probe, by_demand) << when;
+    for (size_t i = 0; i < consts.size(); ++i) {
+      auto truth = served.Query("path(" + consts[i] + ", Y)");
+      ASSERT_OK(truth.status());
+      std::vector<std::string> rows;
+      for (const Tuple& t : *truth) rows.push_back(served.TupleToString(t));
+      std::sort(rows.begin(), rows.end());
+      EXPECT_EQ(by_probe[i], rows) << when << " " << consts[i];
+    }
+  };
+  check("initial");
+
+  for (Session* s : {&served, &lazy}) {
+    MutationBatch batch = s->Mutate();
+    ASSERT_OK(batch.AddText("edge(c, a)"));
+    ASSERT_OK(batch.RetractText("edge(a, b)"));
+    ASSERT_OK(batch.Commit());
+  }
+  auto next = served.FreezeIncremental(*prev);
+  ASSERT_OK(next.status());
+  probe_reg.Publish(*next);
+  demand_reg.Publish(FreezeUnevaluated(&lazy));
+  check("after republish");
+
+  serve::ServeStats ps = probe.stats();
+  serve::ServeStats ds = demand.stats();
+  EXPECT_EQ(ps.demand_queries, 0u);
+  EXPECT_EQ(ps.index_misses, 0u);
+  EXPECT_EQ(ds.probe_queries, 0u);
+  EXPECT_EQ(ds.demand_queries, 2 * consts.size());
+}
+
+// Side indexes follow copy-on-write republication: one on a relation
+// the commit did not touch is reused, one on a rewritten relation is
+// rebuilt, and one whose relation left the snapshot is dropped.
+TEST(CowSnapshotTest, SideIndexReusedForUnchangedRelations) {
+  Options opt;
+  opt.incremental = true;
+  Session session(LanguageMode::kLPS, opt);
+  ASSERT_OK(session.Load(R"(
+    e0(a, b). e0(b, c).
+    e1(x, y). e1(y, z).
+    p0(X, Y) :- e0(X, Y).
+    p0(X, Z) :- p0(X, Y), e0(Y, Z).
+    p1(X, Y) :- e1(X, Y).
+    p1(X, Z) :- p1(X, Y), e1(Y, Z).
+  )"));
+  ASSERT_OK(session.Evaluate());
+  auto snap = session.FreezeIncremental(nullptr);
+  ASSERT_OK(snap.status());
+  SnapshotRegistry registry;
+  registry.Publish(*snap);
+  ServeOptions opts;
+  opts.threads = 1;
+  QueryServer server(&registry, opts);
+  auto q0 = server.Prepare("p0(X, Y)");
+  auto q1 = server.Prepare("p1(X, Y)");
+  ASSERT_OK(q0.status());
+  ASSERT_OK(q1.status());
+  auto serve_both = [&] {
+    ServeRequest r0;
+    r0.query = *q0;
+    r0.params = {{"X", "a"}};
+    ServeRequest r1;
+    r1.query = *q1;
+    r1.params = {{"X", "x"}};
+    auto answers = server.ExecuteBatch({r0, r1});
+    EXPECT_TRUE(answers.ok());
+    return std::make_pair((*answers)[0].count, (*answers)[1].count);
+  };
+  EXPECT_EQ(serve_both(), std::make_pair(size_t{2}, size_t{2}));
+  EXPECT_EQ(server.stats().side_index_builds, 2u);
+
+  // Touch the p0 family only: p1's relation is shared by the new
+  // snapshot, so its side index is reused; p0's is rebuilt.
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.AddText("e0(c, a)"));
+  ASSERT_OK(batch.Commit());
+  auto next = session.FreezeIncremental(*snap);
+  ASSERT_OK(next.status());
+  registry.Publish(*next);
+  EXPECT_EQ(serve_both(), std::make_pair(size_t{3}, size_t{2}));
+  serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.side_index_builds, 3u);
+  EXPECT_EQ(stats.side_indexes, 2u);
+  EXPECT_EQ(stats.index_misses, 0u);
+
+  // Serve p1 only after another p0 commit: p0's side index belongs to
+  // a relation the pinned snapshot no longer holds, so it is dropped.
+  MutationBatch again = session.Mutate();
+  ASSERT_OK(again.RetractText("e0(c, a)"));
+  ASSERT_OK(again.Commit());
+  auto third = session.FreezeIncremental(*next);
+  ASSERT_OK(third.status());
+  registry.Publish(*third);
+  ServeRequest r1;
+  r1.query = *q1;
+  r1.params = {{"X", "x"}};
+  auto ans = server.Execute(r1);
+  ASSERT_OK(ans.status());
+  EXPECT_EQ(ans->count, 2u);
+  stats = server.stats();
+  EXPECT_EQ(stats.side_index_builds, 3u);
+  EXPECT_EQ(stats.side_indexes, 1u);
 }
 
 TEST(CowSnapshotTest, ClonesStoreWhenNewTermsIntern) {
