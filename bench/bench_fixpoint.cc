@@ -11,7 +11,7 @@ namespace lps::bench {
 namespace {
 
 void RunTc(benchmark::State& state, const std::string& facts,
-           bool semi_naive) {
+           bool semi_naive, bool reorder = false) {
   std::string source = facts + TransitiveClosureRules();
   size_t tuples = 0, rule_runs = 0;
   for (auto _ : state) {
@@ -24,8 +24,9 @@ void RunTc(benchmark::State& state, const std::string& facts,
     // cost-based join order probes the growing recursive relation and
     // collapses chain closures into round 0 (DESIGN.md section 17),
     // which would measure the planner, not the naive/semi-naive gap -
-    // bench_planner owns that comparison.
-    opts.reorder = false;
+    // bench_planner owns that comparison. The *Default siblings below
+    // run the default configuration (cost-based order on) instead.
+    opts.reorder = reorder;
     opts.max_tuples = 10000000;
     opts.max_iterations = 1000000;
     EvalStats stats = MustEvaluate(engine.get(), opts);
@@ -57,6 +58,20 @@ void BM_TcRandomSemiNaive(benchmark::State& state) {
   RunTc(state, RandomGraph(n, 2 * n, 99), true);
 }
 BENCHMARK(BM_TcRandomSemiNaive)->Arg(32)->Arg(64)->Arg(128);
+
+// Default-configuration siblings (cost-based join order on): what a
+// session evaluates when nothing is pinned.
+void BM_TcChainSemiNaiveDefault(benchmark::State& state) {
+  RunTc(state, ChainGraph(static_cast<int>(state.range(0))), true,
+        /*reorder=*/true);
+}
+BENCHMARK(BM_TcChainSemiNaiveDefault)->Arg(512);
+
+void BM_TcRandomSemiNaiveDefault(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  RunTc(state, RandomGraph(n, 2 * n, 99), true, /*reorder=*/true);
+}
+BENCHMARK(BM_TcRandomSemiNaiveDefault)->Arg(128);
 
 // Quantified rule with division over a growing set family: measures the
 // fixpoint machinery on the paper's native construct rather than plain

@@ -165,8 +165,10 @@ BENCHMARK(BM_StorageSnapshotProbe)->Arg(1024)->Arg(16384)->Arg(131072);
 // Whole-pipeline allocation accounting: transitive closure over a
 // random graph, counting every heap allocation made during Evaluate()
 // (parsing and loading excluded). allocs_per_tuple is the headline
-// number the arena layout must keep >= 2x below the pre-arena 24.7
-// (i.e. at most 12.4, the ci.yml gate).
+// number: the pre-arena layout made 24.7 allocations per derived
+// tuple and the hashed-substitution join executor 11.8; the slot
+// executor makes ~0.05 (growth of arenas, dedup tables, indexes and
+// compiled plans only), and the ci.yml gate fails above 0.1.
 void BM_TcRandomAllocs(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::string source = RandomGraph(n, 2 * n, 99) + TransitiveClosureRules();

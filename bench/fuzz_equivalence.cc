@@ -22,7 +22,18 @@
 // Join order is an implementation choice the cost-based planner makes
 // per statistics snapshot; the model must not depend on it. --perm-only
 // restricts a run to this sweep (plus the base magic/full agreement),
-// skipping top-down and churn, so large seed counts stay fast.
+// skipping top-down, the lane sweep and churn, so large seed counts
+// stay fast.
+//
+// Clean seeds also run a lane sweep: the full fixpoint on 1, 2 and 4
+// worker lanes (sequential, and sharded delta joins against frozen
+// snapshots - one join executor, two ways of driving it) must reach
+// the byte-identical canonical model. The sweep runs twice: on the
+// seed's program, whose rounds are far below the fork floor (they run
+// inline), and on a wide random recursive program over a few hundred
+// facts (WideProgram) whose rounds fork. A run with at least 20 sweeps
+// in which no 4-lane evaluation forked fails, so the sweep cannot
+// silently stop covering the forked path.
 //
 //   fuzz_equivalence [--seeds N] [--start S] [--perms K] [--perm-only]
 //                    [--fail-log PATH]
@@ -226,19 +237,78 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
   return "";
 }
 
-// Full fixpoint of `source`, rendered as the database's canonical
-// string (sorted, TermStore-independent). On evaluation error returns
-// "" with the message in *error.
-std::string CanonicalModel(const std::string& source, std::string* error) {
-  lps::Session session(lps::LanguageMode::kLDL);
+// Full fixpoint of `source` on `threads` lanes, rendered as the
+// database's canonical string (sorted, TermStore-independent), with the
+// number of forked tasks in *forked. On evaluation error returns ""
+// with the message in *error.
+std::string CanonicalModel(const std::string& source, std::string* error,
+                           size_t threads = 1, size_t* forked = nullptr) {
+  lps::Options options;
+  options.threads = threads;
+  lps::Session session(lps::LanguageMode::kLDL, options);
   lps::Status st = session.Load(source);
   if (st.ok()) st = session.Evaluate();
   if (!st.ok()) {
     *error = st.ToString();
     return "";
   }
+  if (forked != nullptr) *forked = session.eval_stats().parallel_tasks;
   return session.database()->ToCanonicalString(
       session.program()->signature());
+}
+
+// A wide program for the lane sweep: random e0/e1 edges and u0 facts
+// over c0..c95, each edge pointing from a constant to one a few places
+// above it, under two or three mutually recursive binary predicates
+// (a base rule each, then one or two rules that extend on the left, on
+// the right or non-linearly, some with a negated u0 check). Closures
+// are long chains of rounds, large enough to fork, and far from
+// complete, so a wrong tuple is rarely also a right one.
+std::string WideProgram(uint64_t seed) {
+  constexpr uint64_t kConstants = 96;
+  lps::bench::Rng rng(seed * 0x2545f4914f6cdd1dull + 7);
+  std::string out;
+  for (const char* rel : {"e0", "e1"}) {
+    for (uint64_t f = 0; f < 2 * kConstants; ++f) {
+      uint64_t from = rng.Below(kConstants - 8);
+      uint64_t to = from + 1 + rng.Below(6);
+      out += std::string(rel) + "(c" + std::to_string(from) + ", c" +
+             std::to_string(to) + ").\n";
+    }
+  }
+  for (int f = 0; f < 24; ++f) {
+    out += "u0(c" + std::to_string(rng.Below(kConstants)) + ").\n";
+  }
+  const uint64_t preds = 2 + rng.Below(2);
+  auto edge = [&](const char* a, const char* b) {
+    return std::string(rng.Below(2) == 0 ? "e0" : "e1") + "(" + a + ", " +
+           b + ")";
+  };
+  auto idb = [&](const char* a, const char* b) {
+    return "q" + std::to_string(rng.Below(preds)) + "(" + a + ", " + b +
+           ")";
+  };
+  for (uint64_t i = 0; i < preds; ++i) {
+    const std::string head = "q" + std::to_string(i);
+    out += head + "(X, Y) :- " + edge("X", "Y") + ".\n";
+    for (uint64_t r = 0, n = 1 + rng.Below(2); r < n; ++r) {
+      std::string body;
+      switch (rng.Below(3)) {
+        case 0:
+          body = idb("X", "Y") + ", " + edge("Y", "Z");
+          break;
+        case 1:
+          body = edge("X", "Y") + ", " + idb("Y", "Z");
+          break;
+        default:
+          body = idb("X", "Y") + ", " + idb("Y", "Z");
+          break;
+      }
+      if (rng.Below(4) == 0) body += ", not u0(Y)";
+      out += head + "(X, Z) :- " + body + ".\n";
+    }
+  }
+  return out;
 }
 
 void Dump(const FuzzProgram& fuzz, uint64_t seed) {
@@ -281,6 +351,8 @@ int main(int argc, char** argv) {
   size_t topdown_compared = 0;
   size_t churned = 0;
   size_t permutations_checked = 0;
+  size_t lane_sweeps = 0;
+  size_t forked_sweeps = 0;
   for (uint64_t seed = start; seed < start + seeds; ++seed) {
     FuzzProgram fuzz = RandomFlatHornProgram(seed);
 
@@ -375,6 +447,41 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Lane sweep: the sequential and the sharded fixpoint must agree,
+    // on the seed's program and on the wide one.
+    {
+      std::string bad;
+      bool forked = false;
+      for (const std::string& source :
+           {fuzz.source, WideProgram(seed)}) {
+        const char* which =
+            source == fuzz.source ? "" : " (on WideProgram of this seed)";
+        std::string lane_err;
+        std::string one = CanonicalModel(source, &lane_err, 1);
+        for (size_t lanes : {size_t{2}, size_t{4}}) {
+          std::string err;
+          size_t tasks = 0;
+          std::string got = CanonicalModel(source, &err, lanes, &tasks);
+          if (!lane_err.empty() || !err.empty()) {
+            bad = "lane sweep fixpoint error at " + std::to_string(lanes) +
+                  " lanes: [" + lane_err + "] [" + err + "]" + which;
+          } else if (got != one) {
+            bad = "canonical model on " + std::to_string(lanes) +
+                  " lanes differs from the sequential fixpoint" + which;
+          }
+          if (!bad.empty()) break;
+          if (lanes == 4 && tasks > 0) forked = true;
+        }
+        if (!bad.empty()) break;
+      }
+      if (!bad.empty()) {
+        fail(bad);
+        continue;
+      }
+      ++lane_sweeps;
+      if (forked) ++forked_sweeps;
+    }
+
     // Clean seed: drive a churn schedule through the incremental
     // maintainer and re-check convergence after every batch.
     std::string churn = ChurnCheck(fuzz, seed);
@@ -385,13 +492,20 @@ int main(int argc, char** argv) {
     ++churned;
   }
 
+  if (lane_sweeps >= 20 && forked_sweeps == 0) {
+    ++failures;
+    std::fprintf(stderr,
+                 "FAIL: %zu lane sweeps and none forked at 4 lanes: the "
+                 "sweep no longer reaches the forked delta phase\n",
+                 lane_sweeps);
+  }
   std::printf(
       "fuzz_equivalence: %llu seeds [%llu, %llu), %zu with top-down "
-      "comparison, %zu with churn schedules, %zu body permutations, "
-      "%zu failures\n",
+      "comparison, %zu with lane sweeps (%zu forked at 4 lanes), %zu with "
+      "churn schedules, %zu body permutations, %zu failures\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(start),
       static_cast<unsigned long long>(start + seeds), topdown_compared,
-      churned, permutations_checked, failures);
+      lane_sweeps, forked_sweeps, churned, permutations_checked, failures);
   return failures == 0 ? 0 : 1;
 }

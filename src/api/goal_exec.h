@@ -37,10 +37,12 @@ namespace lps {
 // - Evaluate()/ResetDatabase() invalidate cursors), so callers that
 // stop pulling stop paying and matched rows are never copied.
 //
-// The row-matching algorithm mirrors the kScan step of
-// BottomUpEvaluator::ExecSteps (eval/bottomup.cc) but needs only
-// match-or-not per row, where the evaluator must continue into every
-// unifier extension under delta gating - keep the two in sync.
+// Row matching follows the join executor's scan step
+// (BottomUpEvaluator::ExecScan / MatchRow in eval/bottomup.cc): bound
+// columns come from the index probe, plain variables bind with a sort
+// check, complex patterns go through the Unifier. A goal needs only
+// match-or-not per row, so it keeps its own Substitution-based
+// matcher instead of compiled slots.
 class RelationScanSource final : public AnswerSource {
  public:
   /// Session mode: `rel` may be null (predicate never stored - the

@@ -1,13 +1,21 @@
 #include "api/mutation.h"
 
 #include <algorithm>
+#include <bitset>
 #include <unordered_map>
 #include <utility>
 
 #include "api/session.h"
+#include "base/hash.h"
 #include "eval/incremental.h"
 
 namespace lps {
+
+namespace {
+// Size of the commit's one-hash Bloom filter over retracted tuples'
+// first arguments (a power of two).
+constexpr size_t kSurplusFilterBits = 4096;
+}  // namespace
 
 Status MutationBatch::Add(const std::string& pred, Tuple args) {
   return StageNamed(true, pred, std::move(args));
@@ -171,9 +179,18 @@ Status MutationBatch::Commit() {
       if (pred > max_pred) max_pred = pred;
     }
     std::vector<char> touched(static_cast<size_t>(max_pred) + 1, 0);
+    // A Bloom filter over the surplus tuples' first arguments: most
+    // facts of a touched predicate are not being retracted, and the
+    // filter rejects them without hashing the whole tuple.
+    std::bitset<kSurplusFilterBits> first_args;
+    auto filter_bit = [](TermId t) {
+      return Mix64(t) & (kSurplusFilterBits - 1);
+    };
     for (const auto& [pred, tuples] : net) {
       for (const auto& [args, n] : tuples) {
-        if (n.physical > n.count) touched[pred] = 1;
+        if (n.physical <= n.count) continue;
+        touched[pred] = 1;
+        if (!args.empty()) first_args.set(filter_bit(args[0]));
       }
     }
     std::vector<size_t> drop;
@@ -186,6 +203,9 @@ Status MutationBatch::Commit() {
       if (drop.size() >= surplus_total) break;
       const size_t index = i++;
       if (f.pred >= touched.size() || !touched[f.pred]) continue;
+      if (!f.args.empty() && !first_args.test(filter_bit(f.args[0]))) {
+        continue;
+      }
       if (f.pred != last_pred) {  // facts cluster by predicate
         last_pred = f.pred;
         tuples = &net[f.pred];

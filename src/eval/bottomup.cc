@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <unordered_set>
 
-#include "lang/validate.h"
+#include "base/hash.h"
 #include "term/printer.h"
-#include "term/set_algebra.h"
+#include "unify/unify.h"
 
 namespace lps {
 
@@ -27,32 +26,32 @@ bool IsInStratumDeltaLiteral(const Literal& lit, const Signature& sig,
 // sharding, the grouping body sharding, and the pool gate so the three
 // cannot drift.
 constexpr size_t kMinChunkTuples = 16;
+// A parallel delta phase whose total delta would give every lane this
+// many minimum-size chunks forks; a smaller one runs inline when that
+// is exact (see RunParallelDeltaPhase).
+constexpr size_t kMinForkChunks = 16;
 
-// RAII lease of a recycled buffer from a pool: cleared on acquire,
-// returned with its capacity intact on destruction, so steady-state
-// join loops allocate nothing per scan step. A pool (rather than a
-// fixed per-depth slot) is required for correctness: seed plans and
-// empty-branch plans restart at depth 0 while outer free-plan frames
-// still hold their buffers.
-template <typename Buf>
-class Lease {
- public:
-  explicit Lease(std::vector<Buf>* pool) : pool_(pool) {
-    if (!pool->empty()) {
-      buf_ = std::move(pool->back());
-      pool->pop_back();
-      buf_.clear();
-    }
-  }
-  ~Lease() { pool_->push_back(std::move(buf_)); }
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-  Buf& operator*() { return buf_; }
-
- private:
-  std::vector<Buf>* pool_;
-  Buf buf_;
+// One lane's share of a sharded grouping rule's groups - those whose
+// key hashes to the lane - accumulated in stream order, with each
+// group's first-witness position in the stream and its canonical
+// (sorted, deduplicated) elements. Cache-line aligned: every lane
+// writes its own share.
+struct alignas(64) GroupShare {
+  GroupAccumulator acc;
+  std::vector<size_t> first;  // per group: stream position of its first pair
+  std::vector<TermId> elems;  // canonical elements, group after group
+  std::vector<size_t> end;    // per group: end of its elements in `elems`
 };
+
+// The mask binding every column of an `arity`-column literal; 0 when
+// some column lies past the mask width (such a literal is never fully
+// mask-bound, and mask 0 is the unbound scan).
+constexpr uint32_t AllColumns(size_t arity) {
+  if (arity == 0 || arity > Relation::kMaxIndexedColumns) return 0;
+  return arity == Relation::kMaxIndexedColumns
+             ? ~uint32_t{0}
+             : (uint32_t{1} << arity) - 1;
+}
 
 }  // namespace
 
@@ -119,10 +118,12 @@ Status BottomUpEvaluator::Evaluate() {
   if (lanes > 1 && options_.semi_naive && any_sharded_rule) {
     if (pool_ == nullptr || pool_->size() != lanes) {
       pool_ = std::make_unique<WorkerPool>(lanes);
+      lane_ctx_.resize(lanes);
     }
     stats_.threads_used = lanes;
   } else {
     pool_.reset();
+    lane_ctx_.clear();
   }
 
   for (size_t s = 0; s < strat.num_strata; ++s) {
@@ -139,7 +140,7 @@ Status BottomUpEvaluator::Evaluate() {
   return Status::OK();
 }
 
-Status BottomUpEvaluator::CompileRules() {
+Status BottomUpEvaluator::CompileRules(bool witness_plans) {
   const TermStore& store = *program_->store();
   const Signature& sig = program_->signature();
   // Statistics snapshot for cost-based literal ordering. Taken after
@@ -182,6 +183,19 @@ Status BottomUpEvaluator::CompileRules() {
     }
     r.horn_simple = !r.plan.has_quantifiers &&
                     !r.clause->grouping.has_value() && !has_enum;
+    if (witness_plans && r.horn_simple) {
+      // Incremental rederive searches enter with the head bound: plan
+      // them that way, so the order starts from the literal the bound
+      // head makes most selective.
+      std::vector<TermId> head_vars;
+      for (TermId a : r.clause->head.args) {
+        store.CollectVariables(a, &head_vars);
+      }
+      r.witness_plan = BuildBodyPlan(store, sig, *r.clause,
+                                     r.plan.free_literals, head_vars, {},
+                                     true, stats);
+    }
+    CompileSlots(&r);
     AnalyzeRuleForParallel(&r);
   }
   return Status::OK();
@@ -322,103 +336,292 @@ Status BottomUpEvaluator::EvaluateStratum(
   return Status::OK();
 }
 
+void BottomUpEvaluator::CompileSlots(CompiledRule* rule) const {
+  const TermStore& store = *program_->store();
+  const Clause& clause = *rule->clause;
+  const RulePlan& plan = rule->plan;
+  rule->slot_vars.clear();
+  rule->slot_of.clear();
+  auto slot_for = [&](TermId var) {
+    auto [it, fresh] = rule->slot_of.emplace(
+        var, static_cast<uint32_t>(rule->slot_vars.size()));
+    if (fresh) rule->slot_vars.push_back(var);
+    return it->second;
+  };
+  std::vector<TermId> vars;
+  auto compile_arg = [&](TermId t) {
+    SlotArg a;
+    a.term = t;
+    if (store.is_ground(t)) return a;
+    if (store.IsVariable(t)) {
+      a.kind = SlotArg::kSlot;
+      a.slot = slot_for(t);
+      return a;
+    }
+    a.kind = SlotArg::kComplex;
+    vars.clear();
+    store.CollectVariables(t, &vars);
+    for (TermId v : vars) slot_for(v);
+    return a;
+  };
+  auto compile_args = [&](const std::vector<TermId>& args) {
+    std::vector<SlotArg> out;
+    out.reserve(args.size());
+    for (TermId t : args) out.push_back(compile_arg(t));
+    return out;
+  };
+
+  rule->body_args.clear();
+  for (const Literal& lit : clause.body) {
+    rule->body_args.push_back(compile_args(lit.args));
+  }
+  rule->head_args = compile_args(clause.head.args);
+  rule->range_args.clear();
+  rule->qvar_slots.clear();
+  for (const Quantifier& q : clause.quantifiers) {
+    rule->qvar_slots.push_back(slot_for(q.var));
+    rule->range_args.push_back(compile_arg(q.range));
+  }
+  rule->seed_slots.clear();
+  for (TermId v : plan.seed_vars) rule->seed_slots.push_back(slot_for(v));
+  if (clause.grouping.has_value()) {
+    rule->grouped = compile_arg(clause.grouping->grouped_var);
+  }
+
+  // Compiles one BodyPlan. `bound` holds the slots bound on entry and
+  // is advanced past the plan's steps; once a builtin or a complex
+  // unification has run, boundness depends on the data and later scans
+  // read their masks off the slots instead.
+  uint32_t base = 0;
+  auto compile_plan = [&](const BodyPlan& bp, std::vector<char>* bound,
+                          bool* dynamic, PlanEnd end) {
+    ExecPlan ep;
+    ep.base = base;
+    ep.end = end;
+    for (const PlanStep& ps : bp.steps) {
+      ExecStep st;
+      st.kind = ps.kind;
+      st.literal = static_cast<uint32_t>(ps.literal_index);
+      switch (ps.kind) {
+        case StepKind::kScan: {
+          const std::vector<SlotArg>& args = rule->body_args[st.literal];
+          st.dynamic_mask = *dynamic;
+          for (size_t i = 0; i < args.size(); ++i) {
+            const SlotArg& a = args[i];
+            if (a.kind == SlotArg::kComplex) {
+              st.dynamic_mask = true;
+            } else if (a.kind == SlotArg::kConst || (*bound)[a.slot]) {
+              st.mask |= ColumnBit(i);
+            }
+          }
+          if (st.dynamic_mask) st.mask = 0;
+          for (const SlotArg& a : args) {
+            if (a.kind == SlotArg::kSlot) (*bound)[a.slot] = 1;
+            if (a.kind == SlotArg::kComplex) *dynamic = true;
+          }
+          break;
+        }
+        case StepKind::kBuiltin:
+          *dynamic = true;
+          break;
+        case StepKind::kNegated:
+          break;
+        case StepKind::kEnumAtom:
+        case StepKind::kEnumSet:
+        case StepKind::kEnumAny:
+          st.slot = rule->slot_of.at(ps.var);
+          (*bound)[st.slot] = 1;
+          break;
+      }
+      ep.steps.push_back(st);
+    }
+    base += static_cast<uint32_t>(ep.steps.size());
+    return ep;
+  };
+  // Enumeration steps can name variables no argument mentions; number
+  // them before sizing the boundness vectors.
+  auto number_enum_vars = [&](const BodyPlan& bp) {
+    for (const PlanStep& ps : bp.steps) {
+      if (ps.kind != StepKind::kScan && ps.kind != StepKind::kBuiltin &&
+          ps.kind != StepKind::kNegated) {
+        slot_for(ps.var);
+      }
+    }
+  };
+  number_enum_vars(plan.free_plan);
+  number_enum_vars(plan.seed_plan);
+  number_enum_vars(plan.empty_branch_plan);
+  number_enum_vars(rule->witness_plan);
+  for (const BodyPlan& dp : plan.delta_plans) number_enum_vars(dp);
+  const size_t n = rule->slot_vars.size();
+
+  std::vector<char> bound(n, 0);
+  bool dynamic = false;
+  rule->free = compile_plan(plan.free_plan, &bound, &dynamic,
+                            clause.quantifiers.empty() ? PlanEnd::kTail
+                                                       : PlanEnd::kQuantify);
+  // The seed plan runs on the free plan's bindings plus the quantifier
+  // variables at their first elements.
+  for (uint32_t s : rule->qvar_slots) bound[s] = 1;
+  rule->seed = compile_plan(plan.seed_plan, &bound, &dynamic, PlanEnd::kSeed);
+
+  rule->delta.clear();
+  for (const BodyPlan& dp : plan.delta_plans) {
+    bound.assign(n, 0);
+    dynamic = false;
+    rule->delta.push_back(compile_plan(dp, &bound, &dynamic, PlanEnd::kTail));
+  }
+  bound.assign(n, 0);
+  dynamic = false;
+  rule->empty_branch = compile_plan(plan.empty_branch_plan, &bound, &dynamic,
+                                    PlanEnd::kEmptyRange);
+  // Witness searches (incremental rederive) enter with the head bound.
+  bound.assign(n, 0);
+  dynamic = false;
+  for (const SlotArg& a : rule->head_args) {
+    if (a.kind == SlotArg::kSlot) bound[a.slot] = 1;
+    if (a.kind == SlotArg::kComplex) dynamic = true;
+  }
+  rule->witness = compile_plan(rule->witness_plan, &bound, &dynamic,
+                               PlanEnd::kTail);
+  rule->num_steps = base;
+}
+
+void BottomUpEvaluator::AnalyzeRuleForParallel(CompiledRule* rule) const {
+  const Signature& sig = program_->signature();
+  rule->parallel_safe = false;
+  rule->group_parallel_safe = false;
+  // Two admissible shapes: plain flat Horn rules (delta-sharded) and
+  // flat grouping rules (body-scan-sharded). Quantified grouping stays
+  // on the coordinator - quantifier handling can intern terms.
+  const bool grouping = rule->clause->grouping.has_value();
+  if (!rule->horn_simple && !grouping) return;
+  if (grouping && rule->plan.has_quantifiers) return;
+
+  // Flat arguments (constants - set and function constants included,
+  // since they are interned once at parse time - or plain variables)
+  // are the ones the executor reads without interning anything new.
+  auto flat = [](const std::vector<SlotArg>& args) {
+    for (const SlotArg& a : args) {
+      if (a.kind == SlotArg::kComplex) return false;
+    }
+    return true;
+  };
+  for (const ExecStep& step : rule->free.steps) {
+    switch (step.kind) {
+      case StepKind::kScan:
+        if (!flat(rule->body_args[step.literal])) return;
+        break;
+      case StepKind::kNegated:
+        // Negated builtins route through CheckBuiltin, which may intern
+        // terms (set operations); only frozen user relations are safe.
+        if (sig.IsBuiltin(rule->clause->body[step.literal].pred)) return;
+        if (!flat(rule->body_args[step.literal])) return;
+        break;
+      default:
+        // Builtin evaluation can intern new terms (arithmetic, set
+        // construction); enumeration steps can appear in grouping-rule
+        // plans and also stay sequential.
+        return;
+    }
+  }
+  if (grouping) {
+    // Key arguments must be flat; the grouped position holds the
+    // grouped variable itself and is emitted by the coordinator.
+    const GroupSpec& g = *rule->clause->grouping;
+    for (size_t i = 0; i < rule->head_args.size(); ++i) {
+      if (i != g.arg_index && rule->head_args[i].kind == SlotArg::kComplex) {
+        return;
+      }
+    }
+    rule->group_parallel_safe = true;
+    return;
+  }
+  if (!flat(rule->head_args)) return;
+  rule->parallel_safe = true;
+}
+
+void BottomUpEvaluator::ResetCtx(const CompiledRule& rule, Tail tail,
+                                 const DeltaSpec* delta, bool snapshot,
+                                 ExecCtx* ctx) {
+  ctx->tail = tail;
+  ctx->delta = delta;
+  ctx->snapshot = snapshot;
+  ctx->group = nullptr;
+  ctx->found = false;
+  ctx->slots.assign(rule.slot_vars.size(), kInvalidTerm);
+  ctx->trail.clear();
+  if (ctx->hits.size() < rule.num_steps) {
+    ctx->hits.resize(rule.num_steps);
+    ctx->keys.resize(rule.num_steps);
+    ctx->unifiers.resize(rule.num_steps);
+  }
+  ctx->heads = nullptr;
+  ctx->derived.clear();
+  ctx->derived_rows = 0;
+  ctx->group_keys.clear();
+  ctx->group_elems.clear();
+  ctx->snapshot_fallbacks = 0;
+}
+
 Status BottomUpEvaluator::RunRule(CompiledRule* rule,
                                   const DeltaSpec* delta) {
-  Substitution theta;
-  return ExecSteps(*rule, rule->plan.free_plan.steps, 0, &theta, delta,
-                   [this, rule](Substitution* t) {
-                     return HandleQuantifiers(*rule, t,
-                                              [this, rule](Substitution* t2) {
-                                                return EmitHead(*rule, t2);
-                                              });
-                   });
+  ResetCtx(*rule, Tail::kInsert, delta, /*snapshot=*/false, &seq_ctx_);
+  return Run(*rule, rule->free, &seq_ctx_);
 }
 
 Status BottomUpEvaluator::RunGroupingRule(CompiledRule* rule) {
   ++stats_.rule_runs;
-  const Clause& clause = *rule->clause;
-  const GroupSpec& g = *clause.grouping;
-  TermStore* store = program_->store();
-  group_acc_.Reset(clause.head.args.size() - 1);
-
-  // Flat grouping rules run on the flat executor - single-lane as one
-  // inline task (trail-based bindings, no per-row Substitution
-  // copies), multi-lane sharded across the pool with per-task (key,
-  // element) buffers merged in task order. Either way the accumulation
-  // stream equals the sequential ExecSteps stream (chunks partition
-  // the sharded scan's ascending row range in order), so the emitted
-  // database is byte-identical at every lane count.
-  bool flat_done = false;
+  // Flat grouping rules shard their body scan and their accumulation
+  // across the pool when there is one. Either way groups are emitted
+  // in first-witness order over the sequential accumulation stream
+  // (Definition 14), so the database is byte-identical at every lane
+  // count.
   if (rule->group_parallel_safe) {
-    LPS_ASSIGN_OR_RETURN(flat_done, RunGroupingParallel(rule));
+    LPS_ASSIGN_OR_RETURN(bool sharded, RunGroupingParallel(rule));
+    if (sharded) return Status::OK();
   }
-  if (!flat_done) {
-    Substitution theta;
-    Lease<Tuple> key_lease(&tuple_pool_);
-    Tuple& key = *key_lease;
-    LPS_RETURN_IF_ERROR(ExecSteps(
-        *rule, rule->plan.free_plan.steps, 0, &theta, nullptr,
-        [&](Substitution* t) {
-          return HandleQuantifiers(*rule, t, [&](Substitution* t2) {
-            // Accumulate: key = head args except the grouped position.
-            key.clear();
-            for (size_t i = 0; i < clause.head.args.size(); ++i) {
-              if (i == g.arg_index) continue;
-              TermId v = t2->Apply(store, clause.head.args[i]);
-              if (!store->is_ground(v)) {
-                return Status::SafetyError(
-                    "unbound head variable in grouping clause for " +
-                    program_->signature().Name(clause.head.pred));
-              }
-              key.push_back(v);
-            }
-            TermId gv = t2->Apply(store, g.grouped_var);
-            if (!store->is_ground(gv)) {
-              return Status::SafetyError(
-                  "grouped variable not bound by the body of the grouping "
-                  "clause for " +
-                  program_->signature().Name(clause.head.pred));
-            }
-            group_acc_.AppendPair(key, gv);
-            return Status::OK();
-          });
-        }));
-  }
+  group_acc_.Reset(rule->clause->head.args.size() - 1);
+  ResetCtx(*rule, Tail::kGroup, nullptr, /*snapshot=*/false, &seq_ctx_);
+  seq_ctx_.group = &group_acc_;
+  LPS_RETURN_IF_ERROR(Run(*rule, rule->free, &seq_ctx_));
 
-  // Emit one tuple per group in first-witness order (Definition 14).
   // Only witnessed groups are produced; see DESIGN.md on the
   // empty-group convention. SetBuilder canonicalizes (sorts + dedups)
   // each group's element stream through the set intern table.
-  Lease<Tuple> out_lease(&tuple_pool_);
-  Tuple& out = *out_lease;
+  TermStore* store = program_->store();
   for (uint32_t gi = 0; gi < group_acc_.num_groups(); ++gi) {
     set_builder_.Clear();
     group_acc_.ForEachElement(
         gi, [this](TermId e) { set_builder_.Add(e); });
     TermId set = set_builder_.Build(store);
-    TupleRef key = group_acc_.key(gi);
-    out.clear();
-    size_t k = 0;
-    for (size_t i = 0; i < clause.head.args.size(); ++i) {
-      if (i == g.arg_index) {
-        out.push_back(set);
-      } else {
-        out.push_back(key[k++]);
-      }
-    }
-    if (db_->AddTuple(clause.head.pred, out)) {
-      if (++stats_.tuples_derived > options_.max_tuples) {
-        return Status::ResourceExhausted("tuple limit exceeded");
-      }
-    }
+    LPS_RETURN_IF_ERROR(EmitGroup(*rule, group_acc_.key(gi), set));
   }
   stats_.groups_emitted += group_acc_.num_groups();
   stats_.group_elements += group_acc_.total_elements();
   return Status::OK();
 }
 
+Status BottomUpEvaluator::EmitGroup(const CompiledRule& rule, TupleRef key,
+                                    TermId set) {
+  const Clause& clause = *rule.clause;
+  const size_t grouped = clause.grouping->arg_index;
+  Tuple& out = seq_ctx_.out;
+  out.clear();
+  size_t k = 0;
+  for (size_t i = 0; i < clause.head.args.size(); ++i) {
+    out.push_back(i == grouped ? set : key[k++]);
+  }
+  if (db_->AddTuple(clause.head.pred, out) &&
+      ++stats_.tuples_derived > options_.max_tuples) {
+    return Status::ResourceExhausted("tuple limit exceeded");
+  }
+  return Status::OK();
+}
+
 Result<bool> BottomUpEvaluator::RunGroupingParallel(CompiledRule* rule) {
-  const std::vector<PlanStep>& steps = rule->plan.free_plan.steps;
+  if (pool_ == nullptr) return false;
+  const std::vector<ExecStep>& steps = rule->free.steps;
   // Shard the first scan step's full row range; every other step runs
   // inside each task exactly as it would sequentially.
   size_t shard_step = steps.size();
@@ -429,45 +632,17 @@ Result<bool> BottomUpEvaluator::RunGroupingParallel(CompiledRule* rule) {
     }
   }
   if (shard_step == steps.size()) return false;
-  size_t shard_literal = steps[shard_step].literal_index;
+  size_t shard_literal = steps[shard_step].literal;
   const Relation* shard_rel =
       db_->FindRelation(rule->clause->body[shard_literal].pred);
   size_t len = shard_rel == nullptr ? 0 : shard_rel->size();
-  const size_t kw = group_acc_.key_width();
-  auto merge_into_acc = [&](FlatResult& res) {
-    stats_.snapshot_fallbacks += res.snapshot_fallbacks;
-    const TermId* kp = res.group_keys.data();
-    for (size_t i = 0; i < res.group_elems.size(); ++i, kp += kw) {
-      group_acc_.AppendPair(TupleRef(kp, kw), res.group_elems[i]);
-    }
-  };
+  if (len < 2 * kMinChunkTuples) return false;  // not worth a fork
 
   // Build the indexes the executor will probe up front (grouping
   // bodies read strictly lower strata, so the relations are final):
   // LookupSnapshot never builds one, and without this the inner scans
   // of a join body degrade to per-row prefix scans.
-  for (size_t si = 0; si < steps.size(); ++si) {
-    if (steps[si].kind != StepKind::kScan) continue;
-    if (rule->scan_masks[si] == 0) continue;
-    db_->relation(rule->clause->body[steps[si].literal_index].pred)
-        .EnsureIndex(rule->scan_masks[si]);
-  }
-
-  // Single lane (or a relation too small to amortize a fork/join):
-  // run the whole range as one inline task on the coordinator. Same
-  // executor, same order - just without the pool.
-  if (pool_ == nullptr || len < 2 * kMinChunkTuples) {
-    FlatResult res;
-    FlatCtx ctx;
-    ctx.result = &res;
-    ctx.group = &*rule->clause->grouping;
-    ctx.SizeToPlan(steps.size());
-    res.status =
-        ExecFlatSteps(*rule, 0, DeltaSpec{shard_literal, 0, len}, &ctx);
-    LPS_RETURN_IF_ERROR(res.status);
-    merge_into_acc(res);
-    return true;
-  }
+  EnsureScanIndexes(*rule);
 
   size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
   chunks = std::min(chunks, pool_->size() * 4);
@@ -482,26 +657,91 @@ Result<bool> BottomUpEvaluator::RunGroupingParallel(CompiledRule* rule) {
     at += sz;
   }
 
-  std::vector<FlatResult> results(specs.size());
+  // Phase 1: every task collects its chunk's (key, element) pairs and
+  // tags each with the lane that will accumulate its group.
+  const size_t lanes = pool_->size();
+  const size_t kw = rule->clause->head.args.size() - 1;
+  std::vector<TaskResult> results(specs.size());
+  std::vector<std::vector<uint32_t>> owner(specs.size());
   std::atomic<size_t> next{0};
-  const GroupSpec* gs = &*rule->clause->grouping;
-  pool_->Run([&](size_t) {
+  pool_->Run([&](size_t lane) {
+    ExecCtx& ctx = lane_ctx_[lane];
     for (;;) {
       size_t t = next.fetch_add(1, std::memory_order_relaxed);
       if (t >= specs.size()) break;
-      FlatCtx ctx;
-      ctx.result = &results[t];
-      ctx.group = gs;
-      ctx.SizeToPlan(steps.size());
-      results[t].status = ExecFlatSteps(*rule, 0, specs[t], &ctx);
+      ResetCtx(*rule, Tail::kGroup, &specs[t], /*snapshot=*/true, &ctx);
+      results[t].status = Run(*rule, rule->free, &ctx);
+      results[t].TakeFrom(&ctx);
+      const TermId* kp = results[t].group_keys.data();
+      owner[t].resize(results[t].group_elems.size());
+      for (uint32_t& o : owner[t]) {
+        o = static_cast<uint32_t>((Mix64(HashRange(TupleRef(kp, kw))) >> 32) %
+                                  lanes);
+        kp += kw;
+      }
+    }
+  });
+  for (const TaskResult& res : results) {
+    LPS_RETURN_IF_ERROR(res.status);
+    ++stats_.parallel_tasks;
+    stats_.snapshot_fallbacks += res.snapshot_fallbacks;
+  }
+
+  // Phase 2: each lane reads the pairs in task order (the sequential
+  // stream), accumulates the groups it owns and canonicalizes their
+  // elements - everything but interning the sets, which mutates the
+  // term store.
+  std::vector<GroupShare> shares(lanes);
+  pool_->Run([&](size_t lane) {
+    GroupShare& share = shares[lane];
+    share.acc.Reset(kw);
+    size_t pos = 0;
+    for (size_t t = 0; t < results.size(); ++t) {
+      const TaskResult& res = results[t];
+      for (size_t i = 0; i < res.group_elems.size(); ++i, ++pos) {
+        if (owner[t][i] != lane) continue;
+        uint32_t g = share.acc.Upsert(
+            TupleRef(res.group_keys.data() + i * kw, kw));
+        if (g == share.first.size()) share.first.push_back(pos);
+        share.acc.Append(g, res.group_elems[i]);
+      }
+    }
+    for (uint32_t g = 0; g < share.acc.num_groups(); ++g) {
+      const size_t begin = share.elems.size();
+      share.acc.ForEachElement(g,
+                               [&](TermId e) { share.elems.push_back(e); });
+      std::sort(share.elems.begin() + begin, share.elems.end());
+      share.elems.erase(
+          std::unique(share.elems.begin() + begin, share.elems.end()),
+          share.elems.end());
+      share.end.push_back(share.elems.size());
     }
   });
 
-  // Merge in task order (not completion order): deterministic.
-  for (FlatResult& res : results) {
-    LPS_RETURN_IF_ERROR(res.status);
-    ++stats_.parallel_tasks;
-    merge_into_acc(res);
+  // Phase 3: intern and emit in first-witness order, merging the
+  // shares (each already in that order) by first position.
+  TermStore* store = program_->store();
+  std::vector<uint32_t> cursor(lanes, 0);
+  for (;;) {
+    size_t best = lanes;
+    for (size_t l = 0; l < lanes; ++l) {
+      if (cursor[l] == shares[l].first.size()) continue;
+      if (best == lanes ||
+          shares[l].first[cursor[l]] < shares[best].first[cursor[best]]) {
+        best = l;
+      }
+    }
+    if (best == lanes) break;
+    GroupShare& share = shares[best];
+    const uint32_t g = cursor[best]++;
+    const size_t begin = g == 0 ? 0 : share.end[g - 1];
+    TermId set = store->InternCanonicalSet(std::span<const TermId>(
+        share.elems.data() + begin, share.end[g] - begin));
+    LPS_RETURN_IF_ERROR(EmitGroup(*rule, share.acc.key(g), set));
+  }
+  for (const GroupShare& share : shares) {
+    stats_.groups_emitted += share.acc.num_groups();
+    stats_.group_elements += share.acc.total_elements();
   }
   return true;
 }
@@ -511,129 +751,28 @@ Status BottomUpEvaluator::RunEmptyBranch(CompiledRule* rule) {
   // quantifier range is empty the whole body holds and the head follows
   // for every active-domain value of the remaining head variables.
   ++stats_.empty_branch_runs;
-  TermStore* store = program_->store();
-  Substitution theta;
-  return ExecSteps(
-      *rule, rule->plan.empty_branch_plan.steps, 0, &theta, nullptr,
-      [&](Substitution* t) {
-        bool some_empty = false;
-        for (const Quantifier& q : rule->clause->quantifiers) {
-          TermId range = t->Apply(store, q.range);
-          if (!store->is_ground(range) ||
-              store->kind(range) != TermKind::kSet) {
-            return Status::SafetyError(
-                "quantifier range not bound in empty-range branch");
-          }
-          if (store->args(range).empty()) {
-            some_empty = true;
-            break;
-          }
-        }
-        if (!some_empty) return Status::OK();
-        return EmitHead(*rule, t);
-      });
+  ResetCtx(*rule, Tail::kInsert, nullptr, /*snapshot=*/false, &seq_ctx_);
+  return Run(*rule, rule->empty_branch, &seq_ctx_);
 }
 
-void BottomUpEvaluator::AnalyzeRuleForParallel(CompiledRule* rule) const {
-  const TermStore& store = *program_->store();
-  const Signature& sig = program_->signature();
-  const std::vector<PlanStep>& steps = rule->plan.free_plan.steps;
-  rule->scan_masks.assign(steps.size(), 0);
-  rule->parallel_safe = false;
-  rule->group_parallel_safe = false;
-  // Two admissible shapes: plain flat Horn rules (delta-sharded) and
-  // flat grouping rules (body-scan-sharded). Quantified grouping stays
-  // on the coordinator - HandleQuantifiers can intern terms.
-  const bool grouping = rule->clause->grouping.has_value();
-  if (!rule->horn_simple && !grouping) return;
-  if (grouping && rule->plan.has_quantifiers) return;
-
-  // Flat arguments (ground terms - set and function constants included,
-  // since they are interned once at parse time - or plain variables)
-  // are the ones Substitution::Apply resolves without interning
-  // anything new.
-  auto flat = [&](const std::vector<TermId>& args) {
-    for (TermId a : args) {
-      if (!store.is_ground(a) && !store.IsVariable(a)) return false;
-    }
-    return true;
-  };
-
-  std::unordered_set<TermId> bound;
-  for (size_t si = 0; si < steps.size(); ++si) {
-    const PlanStep& step = steps[si];
-    switch (step.kind) {
-      case StepKind::kScan: {
-        const Literal& lit = rule->clause->body[step.literal_index];
-        if (!flat(lit.args)) return;
-        // Boundness at a fixed plan position depends only on the plan,
-        // so the scan's probe mask is static.
-        uint32_t mask = 0;
-        for (size_t i = 0; i < lit.args.size(); ++i) {
-          if (store.is_ground(lit.args[i]) || bound.count(lit.args[i])) {
-            mask |= ColumnBit(i);
-          }
-        }
-        rule->scan_masks[si] = mask;
-        for (TermId a : lit.args) {
-          if (store.IsVariable(a)) bound.insert(a);
-        }
-        break;
-      }
-      case StepKind::kNegated: {
-        const Literal& lit = rule->clause->body[step.literal_index];
-        // Negated builtins route through CheckBuiltin, which may intern
-        // terms (set operations); only frozen user relations are safe.
-        if (sig.IsBuiltin(lit.pred)) return;
-        if (!flat(lit.args)) return;
-        break;
-      }
-      default:
-        // Builtin evaluation can intern new terms (arithmetic, set
-        // construction); enumeration steps can appear in grouping-rule
-        // plans and also stay sequential.
-        return;
-    }
+void BottomUpEvaluator::EnsureScanIndexes(const CompiledRule& rule) {
+  for (const ExecStep& st : rule.free.steps) {
+    if (st.kind != StepKind::kScan || st.mask == 0) continue;
+    const Literal& lit = rule.clause->body[st.literal];
+    // Fully bound scans probe the dedup table (Relation::Find).
+    if (st.mask == AllColumns(lit.args.size())) continue;
+    db_->relation(lit.pred).EnsureIndex(st.mask);
   }
-  if (grouping) {
-    // Key arguments must be flat; the grouped position holds the
-    // grouped variable itself and is emitted by the coordinator.
-    const GroupSpec& g = *rule->clause->grouping;
-    for (size_t i = 0; i < rule->clause->head.args.size(); ++i) {
-      if (i == g.arg_index) continue;
-      TermId a = rule->clause->head.args[i];
-      if (!store.is_ground(a) && !store.IsVariable(a)) return;
-    }
-    rule->group_parallel_safe = true;
-    return;
-  }
-  if (!flat(rule->clause->head.args)) return;
-  rule->parallel_safe = true;
 }
 
 Status BottomUpEvaluator::RunParallelDeltaPhase(
     const std::vector<size_t>& clause_indices,
     const std::unordered_map<PredicateId, std::pair<size_t, size_t>>&
         delta) {
-  // Freeze the read paths: catch every index the workers will probe up
-  // to the current size, so LookupSnapshot never has to build one.
-  for (size_t ci : clause_indices) {
-    const CompiledRule& r = rules_[ci];
-    if (!r.parallel_safe) continue;
-    const std::vector<PlanStep>& steps = r.plan.free_plan.steps;
-    for (size_t si = 0; si < steps.size(); ++si) {
-      if (steps[si].kind != StepKind::kScan) continue;
-      if (r.scan_masks[si] == 0) continue;  // full scans need no index
-      db_->relation(r.clause->body[steps[si].literal_index].pred)
-          .EnsureIndex(r.scan_masks[si]);
-    }
-  }
-
-  // Shard each (rule, delta literal) job into chunks. Task enumeration
-  // is deterministic, and splitting a delta range into chunks that are
-  // merged back in range order reproduces the unsplit derivation
-  // sequence, so the merged database is identical for every lane count.
-  std::vector<ParallelTask> tasks;
+  // One job per (parallel-safe rule, delta literal) with a non-empty
+  // delta, in deterministic rule order.
+  std::vector<ParallelTask> jobs;
+  size_t total = 0;
   for (size_t ci : clause_indices) {
     const CompiledRule& r = rules_[ci];
     if (!r.parallel_safe) continue;
@@ -643,46 +782,102 @@ Status BottomUpEvaluator::RunParallelDeltaPhase(
       auto [begin, end] = it->second;
       if (begin >= end) continue;  // empty delta
       ++stats_.rule_runs;
-      size_t len = end - begin;
-      size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
-      chunks = std::min(chunks, pool_->size() * 4);
-      size_t base = len / chunks, rem = len % chunks;
-      size_t at = begin;
-      for (size_t c = 0; c < chunks; ++c) {
-        size_t sz = base + (c < rem ? 1 : 0);
-        if (sz == 0) continue;
-        tasks.push_back(ParallelTask{&r, DeltaSpec{li, at, at + sz}});
-        at += sz;
-      }
+      jobs.push_back(ParallelTask{&r, DeltaSpec{li, begin, end}});
+      total += end - begin;
     }
   }
-  if (tasks.empty()) return Status::OK();
+  if (jobs.empty()) return Status::OK();
 
-  // Dynamic scheduling: workers claim tasks off a shared counter and
-  // write only their own result slots; the pool's join barrier
-  // publishes the slots back to this thread.
-  std::vector<FlatResult> results(tasks.size());
+  // Shard each job into chunks, merged back in task order. A chunk's
+  // derivations depend only on its own row range, so the merged
+  // database is a deterministic function of the chunking (which
+  // depends on the lane count, not on scheduling).
+  std::vector<ParallelTask> tasks;
+  for (const ParallelTask& job : jobs) {
+    size_t begin = job.spec.begin, len = job.spec.end - begin;
+    size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
+    chunks = std::min(chunks, pool_->size() * 4);
+    size_t base = len / chunks, rem = len % chunks;
+    size_t at = begin;
+    for (size_t c = 0; c < chunks; ++c) {
+      size_t sz = base + (c < rem ? 1 : 0);
+      if (sz == 0) continue;
+      tasks.push_back(ParallelTask{
+          job.rule, DeltaSpec{job.spec.literal_index, at, at + sz}});
+      at += sz;
+    }
+  }
+
+  // A fork/join round trip costs more than it saves unless every lane
+  // gets several minimum-size chunks, so smaller phases run their tasks
+  // in order on this thread, inserting straight into the database. That
+  // derives exactly the tuples the buffered tasks would, in the same
+  // order, when no task reads a predicate some job derives outside its
+  // own delta window (the windows end at the pre-phase watermark) and
+  // no derived relation holds a tombstone an insert could revive inside
+  // a window; a phase that breaks either condition forks whatever its
+  // size.
+  if (total < kMinForkChunks * kMinChunkTuples * pool_->size()) {
+    std::vector<char> derived(program_->signature().size(), 0);
+    bool exact = true;
+    for (const ParallelTask& job : jobs) {
+      const PredicateId head = job.rule->clause->head.pred;
+      const Relation* rel = db_->FindRelation(head);
+      exact = exact && (rel == nullptr || rel->dead_count() == 0);
+      derived[head] = 1;
+    }
+    for (const ParallelTask& job : jobs) {
+      for (const ExecStep& st : job.rule->free.steps) {
+        exact = exact && (st.kind != StepKind::kScan ||
+                          st.literal == job.spec.literal_index ||
+                          !derived[job.rule->clause->body[st.literal].pred]);
+      }
+    }
+    if (exact) {
+      for (const ParallelTask& task : tasks) {
+        ResetCtx(*task.rule, Tail::kInsert, &task.spec, /*snapshot=*/false,
+                 &seq_ctx_);
+        LPS_RETURN_IF_ERROR(Run(*task.rule, task.rule->free, &seq_ctx_));
+      }
+      return Status::OK();
+    }
+  }
+
+  // Freeze the read paths: catch every index the tasks will probe up
+  // to the current size, so LookupSnapshot never has to build one.
+  for (size_t ci : clause_indices) {
+    if (rules_[ci].parallel_safe) EnsureScanIndexes(rules_[ci]);
+  }
+
+  // Dynamic scheduling: lanes claim tasks off a shared counter and
+  // write only their own context and result slots; the pool's join
+  // barrier publishes the slots back to this thread.
+  std::vector<TaskResult> results(tasks.size());
   std::atomic<size_t> next{0};
-  pool_->Run([&](size_t) {
+  pool_->Run([&](size_t lane) {
+    ExecCtx& ctx = lane_ctx_[lane];
     for (;;) {
       size_t t = next.fetch_add(1, std::memory_order_relaxed);
       if (t >= tasks.size()) break;
-      FlatCtx ctx;
-      ctx.result = &results[t];
-      ctx.SizeToPlan(tasks[t].rule->plan.free_plan.steps.size());
-      results[t].status =
-          ExecFlatSteps(*tasks[t].rule, 0, tasks[t].spec, &ctx);
+      const CompiledRule& r = *tasks[t].rule;
+      ResetCtx(r, Tail::kBuffer, &tasks[t].spec, /*snapshot=*/true, &ctx);
+      results[t].heads.Reset(r.clause->head.args.size());
+      ctx.heads = &results[t].heads;
+      results[t].status = Run(r, r.free, &ctx);
+      results[t].TakeFrom(&ctx);
     }
   });
 
   // Merge in task order (not completion order): deterministic.
-  for (FlatResult& res : results) {
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    TaskResult& res = results[t];
     LPS_RETURN_IF_ERROR(res.status);
     ++stats_.parallel_tasks;
-    stats_.parallel_tuples += res.derived.size();
+    stats_.parallel_tuples += res.heads.num_groups();
     stats_.snapshot_fallbacks += res.snapshot_fallbacks;
-    for (auto& [pred, tup] : res.derived) {
-      if (db_->AddTuple(pred, tup)) {
+    const PredicateId pred = tasks[t].rule->clause->head.pred;
+    for (uint32_t k = 0; k < res.heads.num_groups(); ++k) {
+      if (db_->AddTuple(pred, res.heads.key(k))) {
         if (++stats_.tuples_derived > options_.max_tuples) {
           return Status::ResourceExhausted("tuple limit exceeded");
         }
@@ -692,465 +887,437 @@ Status BottomUpEvaluator::RunParallelDeltaPhase(
   return Status::OK();
 }
 
-// LOCK-STEP INVARIANT: this is the worker-side twin of ExecSteps /
-// EmitHead (and, in grouping mode, of RunGroupingRule's sequential
-// accumulation) restricted to the flat fragment (kScan +
-// kNegated-on-user, ground-or-variable args). Any change to scan
-// matching, negation, head-emission or group-accumulation semantics
-// there must be mirrored here, or threaded runs diverge from
-// sequential ones — ParallelEvalTest / ParallelGroupingTest are the
-// tripwire.
-Status BottomUpEvaluator::ExecFlatSteps(const CompiledRule& rule,
-                                        size_t idx, const DeltaSpec& delta,
-                                        FlatCtx* ctx) const {
-  LPS_RETURN_IF_ERROR(CheckDeadline(&ctx->deadline_tick));
-  const std::vector<PlanStep>& steps = rule.plan.free_plan.steps;
-  TermStore* store = program_->store();
+// ---- The executor -----------------------------------------------------
 
-  if (idx == steps.size()) {
-    const Literal& head = rule.clause->head;
-    if (ctx->group != nullptr) {
-      // Grouping mode: buffer the (key, element) pair flat. Apply is
-      // pure on flat args (ground terms short-circuit; variables hit
-      // the trail), so nothing here touches shared state.
-      const GroupSpec& g = *ctx->group;
-      for (size_t i = 0; i < head.args.size(); ++i) {
-        if (i == g.arg_index) continue;
-        TermId v = ctx->binds.Apply(*store, head.args[i]);
-        if (!store->is_ground(v)) {
-          return Status::SafetyError(
-              "unbound head variable in grouping clause for " +
-              program_->signature().Name(head.pred));
-        }
-        ctx->result->group_keys.push_back(v);
-      }
-      TermId gv = ctx->binds.Apply(*store, g.grouped_var);
-      if (!store->is_ground(gv)) {
-        return Status::SafetyError(
-            "grouped variable not bound by the body of the grouping "
-            "clause for " +
-            program_->signature().Name(head.pred));
-      }
-      ctx->result->group_elems.push_back(gv);
-      return Status::OK();
+TermId BottomUpEvaluator::Instantiate(const CompiledRule& rule, TermId term,
+                                      ExecCtx* ctx) const {
+  Substitution& sub = ctx->sub;
+  sub.Clear();
+  for (size_t s = 0; s < ctx->slots.size(); ++s) {
+    if (ctx->slots[s] != kInvalidTerm) {
+      sub.Bind(rule.slot_vars[s], ctx->slots[s]);
     }
-    // Emit into the task-local buffer. Contains reads the frozen
-    // snapshot; real dedup happens when the coordinator merges.
-    Tuple& out = ctx->out;
-    out.clear();
-    for (TermId a : head.args) {
-      TermId t = ctx->binds.Apply(*store, a);
-      if (!store->is_ground(t)) {
-        return Status::SafetyError(
-            "head variable not bound by the body in clause for " +
-            program_->signature().Name(head.pred) + " (unsafe clause)");
-      }
-      out.push_back(t);
-    }
-    if (db_->Contains(head.pred, out)) return Status::OK();
-    if (!ctx->emitted.insert(out).second) return Status::OK();
-    if (ctx->result->derived.size() >= options_.max_tuples) {
-      return Status::ResourceExhausted("tuple limit exceeded");
-    }
-    ctx->result->derived.emplace_back(head.pred, out);
-    return Status::OK();
   }
-
-  const PlanStep& step = steps[idx];
-  if (step.kind == StepKind::kNegated) {
-    // Stratification puts negated predicates in strictly lower strata,
-    // so their relations are final; Contains is a pure read.
-    const Literal& lit = rule.clause->body[step.literal_index];
-    Tuple& args = ctx->keys[idx];
-    args.clear();
-    for (size_t i = 0; i < lit.args.size(); ++i) {
-      TermId v = ctx->binds.Apply(*store, lit.args[i]);
-      if (!store->is_ground(v)) {
-        return Status::SafetyError(
-            "literal " + program_->signature().Name(lit.pred) +
-            " is not ground where a ground check is required (unsafe "
-            "clause?)");
-      }
-      args.push_back(v);
-    }
-    if (!db_->Contains(lit.pred, args)) {
-      return ExecFlatSteps(rule, idx + 1, delta, ctx);
-    }
-    return Status::OK();
-  }
-  if (step.kind != StepKind::kScan) {
-    return Status::Internal("non-flat plan step in parallel executor");
-  }
-
-  const Literal& lit = rule.clause->body[step.literal_index];
-  uint32_t mask = rule.scan_masks[idx];
-  Tuple& patterns = ctx->patterns[idx];
-  patterns.resize(lit.args.size());
-  Tuple& key = ctx->keys[idx];
-  key.assign(lit.args.size(), kInvalidTerm);
-  for (size_t i = 0; i < lit.args.size(); ++i) {
-    patterns[i] = ctx->binds.Apply(*store, lit.args[i]);
-    if (MaskHasColumn(mask, i)) key[i] = patterns[i];
-  }
-  const Relation* rel = db_->FindRelation(lit.pred);
-  if (rel == nullptr) return Status::OK();
-
-  auto try_row = [&](RowId ti) -> Status {
-    TupleRef row = rel->row(ti);  // no copy: frozen for the phase
-    size_t mark = ctx->binds.Mark();
-    bool ok = true;
-    for (size_t i = 0; i < patterns.size() && ok; ++i) {
-      if (MaskHasColumn(mask, i)) {
-        ok = (row[i] == key[i]);
-        continue;
-      }
-      TermId p = ctx->binds.Apply(*store, patterns[i]);
-      if (store->is_ground(p)) {
-        ok = (p == row[i]);
-      } else {  // a variable: flat rules have nothing else unbound
-        if (!SortAllowsBinding(*store, p, row[i])) {
-          ok = false;
-        } else {
-          ctx->binds.Bind(p, row[i]);
-        }
-      }
-    }
-    Status st =
-        ok ? ExecFlatSteps(rule, idx + 1, delta, ctx) : Status::OK();
-    ctx->binds.Undo(mark);
-    return st;
-  };
-
-  if (delta.literal_index == step.literal_index) {
-    // The sharded delta literal. With no bound columns, iterate this
-    // task's chunk directly; otherwise probe the index and clip the
-    // (ascending) posting list to the chunk, like the sequential path.
-    if (mask == 0) {
-      for (size_t ti = delta.begin; ti < delta.end; ++ti) {
-        if (!rel->IsLive(static_cast<uint32_t>(ti))) continue;
-        LPS_RETURN_IF_ERROR(try_row(static_cast<uint32_t>(ti)));
-      }
-      return Status::OK();
-    }
-    std::vector<uint32_t>& hits = ctx->scratch[idx];
-    if (!rel->LookupSnapshot(mask, key, rel->size(), &hits)) {
-      ++ctx->result->snapshot_fallbacks;
-    }
-    auto first = std::lower_bound(hits.begin(), hits.end(),
-                                  static_cast<uint32_t>(delta.begin));
-    for (auto it = first; it != hits.end(); ++it) {
-      if (*it >= delta.end) break;
-      LPS_RETURN_IF_ERROR(try_row(*it));
-    }
-    return Status::OK();
-  }
-  std::vector<uint32_t>& hits = ctx->scratch[idx];
-  if (!rel->LookupSnapshot(mask, key, rel->size(), &hits)) {
-    ++ctx->result->snapshot_fallbacks;
-  }
-  for (uint32_t ti : hits) {
-    LPS_RETURN_IF_ERROR(try_row(ti));
-  }
-  return Status::OK();
+  return sub.Apply(program_->store(), term);
 }
 
-// LOCK-STEP INVARIANT: the kScan and kNegated semantics here have a
-// worker-side twin in ExecFlatSteps (flat fragment only); keep them in
-// sync — see the note on ExecFlatSteps.
-Status BottomUpEvaluator::ExecSteps(
-    const CompiledRule& rule, const std::vector<PlanStep>& steps,
-    size_t idx, Substitution* theta, const DeltaSpec* delta,
-    const std::function<Status(Substitution*)>& cont) {
-  LPS_RETURN_IF_ERROR(CheckDeadline(&deadline_tick_));
-  if (idx == steps.size()) return cont(theta);
-  const PlanStep& step = steps[idx];
-  TermStore* store = program_->store();
-  const Signature& sig = program_->signature();
+void BottomUpEvaluator::BindFrom(const CompiledRule& rule,
+                                 const Substitution& ext, ExecCtx* ctx) {
+  for (const auto& [var, value] : ext.bindings()) {
+    auto it = rule.slot_of.find(var);
+    if (it != rule.slot_of.end()) ctx->Bind(it->second, value);
+  }
+}
 
-  switch (step.kind) {
-    case StepKind::kScan: {
-      const Literal& lit = rule.clause->body[step.literal_index];
-      Lease<Tuple> patterns_lease(&tuple_pool_);
-      Tuple& patterns = *patterns_lease;
-      patterns.resize(lit.args.size());
-      Lease<Tuple> key_lease(&tuple_pool_);
-      Tuple& key = *key_lease;
-      key.assign(lit.args.size(), kInvalidTerm);
-      uint32_t mask = 0;
-      for (size_t i = 0; i < lit.args.size(); ++i) {
-        patterns[i] = theta->Apply(store, lit.args[i]);
-        if (store->is_ground(patterns[i])) {
-          mask |= ColumnBit(i);
-          key[i] = patterns[i];
-        }
-      }
-      Relation& rel = db_->relation(lit.pred);
-      bool is_delta =
-          delta != nullptr && delta->literal_index == step.literal_index;
-      bool rows_mode = is_delta && delta->rows != nullptr;
-      // Copy: Lookup's reference is invalidated by later inserts (and
-      // by recursive Lookups on the same relation).
-      Lease<std::vector<RowId>> indices_lease(&rowid_pool_);
-      std::vector<RowId>& indices = *indices_lease;
-      if (rows_mode) {
-        // Explicit-rows delta (incremental maintenance): the rows sit
-        // at scattered arena positions, so skip the index probe and
-        // route every column through the binding loop below (mask 0
-        // re-checks bound columns per row). The maintainer picked the
-        // rows deliberately; they are iterated as given, tombstoned or
-        // not.
-        mask = 0;
-        indices.assign(delta->rows->begin() + delta->begin,
-                       delta->rows->begin() + delta->end);
-      } else if (is_delta && mask == 0) {
-        // Unbound range-mode delta: the rows are a contiguous arena
-        // suffix, so enumerate them directly instead of walking the
-        // whole relation just to drop everything outside the range.
-        indices.reserve(delta->end - delta->begin);
-        for (size_t ti = delta->begin; ti < delta->end; ++ti) {
-          indices.push_back(static_cast<RowId>(ti));
-        }
-      } else {
-        const std::span<const RowId> hits = rel.Lookup(mask, key);
-        indices.assign(hits.begin(), hits.end());
-      }
-      Lease<Tuple> row_lease(&tuple_pool_);
-      Tuple& row = *row_lease;
-      for (RowId ti : indices) {
-        if (is_delta && !rows_mode &&
-            (ti < delta->begin || ti >= delta->end)) {
-          continue;
-        }
-        // Tombstoned rows stay in index postings; skip them here.
-        if (!rows_mode && !rel.IsLive(ti)) continue;
-        {
-          // Copy: the arena may grow (and reallocate) during recursion.
-          TupleRef r = rel.row(ti);
-          row.assign(r.begin(), r.end());
-        }
-        // Bind the non-ground positions.
-        Substitution ext = *theta;
-        bool ok = true;
-        std::vector<size_t> complex;
-        for (size_t i = 0; i < patterns.size() && ok; ++i) {
-          if (MaskHasColumn(mask, i)) continue;
-          TermId p = ext.Apply(store, patterns[i]);
-          if (store->is_ground(p)) {
-            ok = (p == row[i]);
-          } else if (store->IsVariable(p)) {
-            if (!SortAllowsBinding(*store, p, row[i])) {
-              ok = false;
-            } else {
-              ext.Bind(p, row[i]);
-            }
-          } else {
-            complex.push_back(i);
-          }
-        }
-        if (!ok) continue;
-        if (complex.empty()) {
-          LPS_RETURN_IF_ERROR(
-              ExecSteps(rule, steps, idx + 1, &ext, delta, cont));
-          continue;
-        }
-        // Complex patterns (set/function terms with variables): unify.
-        std::vector<TermId> pat, val;
-        for (size_t i : complex) {
-          pat.push_back(ext.Apply(store, patterns[i]));
-          val.push_back(row[i]);
-        }
-        Unifier unifier(store, options_.builtins.unify);
-        std::vector<Substitution> unifiers;
-        LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(pat, val, &unifiers));
-        for (const Substitution& u : unifiers) {
-          Substitution ext2 = ext;
-          for (const auto& [v, t] : u.bindings()) ext2.Bind(v, t);
-          LPS_RETURN_IF_ERROR(
-              ExecSteps(rule, steps, idx + 1, &ext2, delta, cont));
-        }
-      }
-      return Status::OK();
+Status BottomUpEvaluator::Exec(const CompiledRule& rule,
+                               const ExecPlan& plan, size_t i,
+                               ExecCtx* ctx) {
+  LPS_RETURN_IF_ERROR(CheckDeadline(&ctx->deadline_tick));
+  if (i == plan.steps.size()) {
+    switch (plan.end) {
+      case PlanEnd::kTail:
+        return RunTail(rule, ctx);
+      case PlanEnd::kQuantify:
+        return Quantify(rule, ctx);
+      case PlanEnd::kSeed:
+        return SeedCandidate(rule, ctx);
+      case PlanEnd::kEmptyRange:
+        return EmptyRange(rule, ctx);
     }
+  }
+  const ExecStep& step = plan.steps[i];
+  switch (step.kind) {
+    case StepKind::kScan:
+      return ExecScan(rule, plan, i, ctx);
     case StepKind::kBuiltin: {
-      const Literal& lit = rule.clause->body[step.literal_index];
-      std::vector<TermId> args(lit.args.size());
-      for (size_t i = 0; i < args.size(); ++i) {
-        args[i] = theta->Apply(store, lit.args[i]);
+      const Literal& lit = rule.clause->body[step.literal];
+      const std::vector<SlotArg>& args = rule.body_args[step.literal];
+      Tuple& vals = ctx->keys[plan.base + i];
+      vals.resize(args.size());
+      for (size_t k = 0; k < args.size(); ++k) {
+        vals[k] = Resolve(rule, args[k], ctx);
       }
-      return EvalBuiltin(
-          store, lit.pred, args, options_.builtins,
-          [&](const Substitution& ext) {
-            Substitution next = *theta;
-            for (const auto& [v, t] : ext.bindings()) next.Bind(v, t);
-            return ExecSteps(rule, steps, idx + 1, &next, delta, cont);
-          });
+      return EvalBuiltin(program_->store(), lit.pred, vals,
+                         options_.builtins, [&](const Substitution& ext) {
+                           size_t mark = ctx->trail.size();
+                           BindFrom(rule, ext, ctx);
+                           Status st = Exec(rule, plan, i + 1, ctx);
+                           ctx->Undo(mark);
+                           return st;
+                         });
     }
     case StepKind::kNegated: {
-      const Literal& lit = rule.clause->body[step.literal_index];
-      LPS_ASSIGN_OR_RETURN(bool holds, LiteralHolds(lit, *theta));
-      // lit.positive is false: the check passes when the atom fails.
-      if (!holds) {
-        return ExecSteps(rule, steps, idx + 1, theta, delta, cont);
-      }
+      LPS_ASSIGN_OR_RETURN(bool holds, Holds(rule, step.literal, ctx));
+      // The literal is negative: the check passes when the atom fails.
+      // Stratification puts negated predicates in strictly lower
+      // strata, so their relations are final.
+      if (!holds) return Exec(rule, plan, i + 1, ctx);
       return Status::OK();
     }
     case StepKind::kEnumAtom:
     case StepKind::kEnumSet:
     case StepKind::kEnumAny: {
-      if (theta->IsBound(step.var)) {
-        return ExecSteps(rule, steps, idx + 1, theta, delta, cont);
+      if (ctx->slots[step.slot] != kInvalidTerm) {
+        return Exec(rule, plan, i + 1, ctx);
       }
       auto enumerate = [&](const std::vector<TermId>& domain) -> Status {
         size_t n = domain.size();  // snapshot: domain may grow
-        for (size_t i = 0; i < n; ++i) {
-          Substitution next = *theta;
-          next.Bind(step.var, domain[i]);
-          LPS_RETURN_IF_ERROR(
-              ExecSteps(rule, steps, idx + 1, &next, delta, cont));
+        for (size_t k = 0; k < n; ++k) {
+          size_t mark = ctx->trail.size();
+          ctx->Bind(step.slot, domain[k]);
+          Status st = Exec(rule, plan, i + 1, ctx);
+          ctx->Undo(mark);
+          LPS_RETURN_IF_ERROR(st);
         }
         return Status::OK();
       };
-      if (step.kind == StepKind::kEnumAtom) {
-        return enumerate(db_->atom_domain());
+      if (step.kind != StepKind::kEnumSet) {
+        LPS_RETURN_IF_ERROR(enumerate(db_->atom_domain()));
       }
-      if (step.kind == StepKind::kEnumSet) {
-        return enumerate(db_->set_domain());
-      }
-      LPS_RETURN_IF_ERROR(enumerate(db_->atom_domain()));
+      if (step.kind == StepKind::kEnumAtom) return Status::OK();
       return enumerate(db_->set_domain());
     }
   }
-  (void)sig;
   return Status::Internal("unknown plan step");
 }
 
-Result<bool> BottomUpEvaluator::LiteralHolds(const Literal& lit,
-                                             const Substitution& theta) {
+Status BottomUpEvaluator::ExecScan(const CompiledRule& rule,
+                                   const ExecPlan& plan, size_t i,
+                                   ExecCtx* ctx) {
+  const ExecStep& step = plan.steps[i];
+  const Literal& lit = rule.clause->body[step.literal];
+  const std::vector<SlotArg>& args = rule.body_args[step.literal];
+  const TermStore& store = *program_->store();
+  Tuple& key = ctx->keys[plan.base + i];
+  key.assign(args.size(), kInvalidTerm);
+  uint32_t mask = step.mask;
+  if (step.dynamic_mask) {
+    for (size_t k = 0; k < args.size(); ++k) {
+      TermId v = Resolve(rule, args[k], ctx);
+      if (store.is_ground(v) && ColumnBit(k) != 0) {
+        mask |= ColumnBit(k);
+        key[k] = v;
+      }
+    }
+  } else {
+    for (size_t k = 0; k < args.size(); ++k) {
+      if (MaskHasColumn(mask, k)) key[k] = Resolve(rule, args[k], ctx);
+    }
+  }
+
+  Relation* mrel = nullptr;  // sequential path only
+  const Relation* rel;
+  if (ctx->snapshot) {
+    rel = db_->FindRelation(lit.pred);
+    if (rel == nullptr) return Status::OK();
+  } else {
+    mrel = &db_->relation(lit.pred);
+    rel = mrel;
+  }
+  const DeltaSpec* delta = ctx->delta;
+  const bool is_delta =
+      delta != nullptr && delta->literal_index == step.literal;
+
+  if (is_delta && delta->rows != nullptr) {
+    // Explicit-rows delta (incremental maintenance): the rows sit at
+    // scattered arena positions, so skip the index probe and re-check
+    // every column per row. The maintainer picked the rows
+    // deliberately; they are iterated as given, tombstoned or not.
+    for (size_t k = delta->begin; k < delta->end; ++k) {
+      LPS_RETURN_IF_ERROR(
+          MatchRow(rule, plan, i, rel->row((*delta->rows)[k]), 0, ctx));
+    }
+    return Status::OK();
+  }
+  if (mask == 0) {
+    // Unbound scan: walk the rows present now (inserts made while the
+    // scan runs are not visited), or the delta's contiguous window.
+    size_t begin = is_delta ? delta->begin : 0;
+    size_t end = is_delta ? delta->end : rel->size();
+    for (size_t r = begin; r < end; ++r) {
+      if (!rel->IsLive(static_cast<RowId>(r))) continue;
+      LPS_RETURN_IF_ERROR(
+          MatchRow(rule, plan, i, rel->row(static_cast<RowId>(r)), 0, ctx));
+    }
+    return Status::OK();
+  }
+  if (mask == AllColumns(args.size())) {
+    // Fully bound: one dedup probe (Find skips tombstones), and no
+    // full-tuple index ever gets built.
+    RowId r = rel->Find(key);
+    if (r == Relation::kNoRow) return Status::OK();
+    if (is_delta && (r < delta->begin || r >= delta->end)) {
+      return Status::OK();
+    }
+    return MatchRow(rule, plan, i, rel->row(r), mask, ctx);
+  }
+  // Index probe, clipped to the delta window (postings are ascending,
+  // so the clip is a binary search). The sequential path copies the
+  // hits: its inserts and nested probes invalidate Lookup's span.
+  std::vector<RowId>& hits = ctx->hits[plan.base + i];
+  std::span<const RowId> probe;
+  if (ctx->snapshot) {
+    if (!rel->LookupSnapshot(mask, key, rel->size(), &hits)) {
+      ++ctx->snapshot_fallbacks;
+    }
+    probe = hits;
+  } else {
+    probe = mrel->Lookup(mask, key);
+  }
+  if (is_delta) {
+    auto first = std::lower_bound(probe.begin(), probe.end(),
+                                  static_cast<RowId>(delta->begin));
+    auto last = std::lower_bound(first, probe.end(),
+                                 static_cast<RowId>(delta->end));
+    probe = probe.subspan(first - probe.begin(), last - first);
+  }
+  if (!ctx->snapshot) {
+    hits.assign(probe.begin(), probe.end());
+    probe = hits;
+  }
+  for (RowId r : probe) {
+    if (!rel->IsLive(r)) continue;
+    LPS_RETURN_IF_ERROR(MatchRow(rule, plan, i, rel->row(r), mask, ctx));
+  }
+  return Status::OK();
+}
+
+Status BottomUpEvaluator::MatchRow(const CompiledRule& rule,
+                                   const ExecPlan& plan, size_t i,
+                                   TupleRef row, uint32_t mask,
+                                   ExecCtx* ctx) {
+  const ExecStep& step = plan.steps[i];
+  const std::vector<SlotArg>& args = rule.body_args[step.literal];
+  const TermStore& store = *program_->store();
+  const size_t mark = ctx->trail.size();
+  bool ok = true;
+  bool complex = false;
+  for (size_t k = 0; k < args.size() && ok; ++k) {
+    if (MaskHasColumn(mask, k)) continue;  // matched by the probe
+    const SlotArg& a = args[k];
+    if (a.kind == SlotArg::kConst) {
+      ok = a.term == row[k];
+    } else if (a.kind == SlotArg::kComplex) {
+      complex = true;
+    } else if (TermId cur = ctx->slots[a.slot]; cur == kInvalidTerm) {
+      ok = SortAllowsBinding(store, a.term, row[k]);
+      if (ok) ctx->Bind(a.slot, row[k]);
+    } else if (store.is_ground(cur)) {
+      ok = cur == row[k];  // bound earlier, or repeated in this literal
+    } else {
+      complex = true;  // bound to a non-ground term: unify below
+    }
+  }
+  Status st;
+  if (ok && !complex) {
+    st = Exec(rule, plan, i + 1, ctx);
+  } else if (ok) {
+    // Complex patterns (set / function terms with variables): unify
+    // them against the row's values under the bindings so far. The
+    // row is read here, before any recursion can grow its arena.
+    Tuple& pat = ctx->out;
+    std::vector<TermId> val;
+    pat.clear();
+    for (size_t k = 0; k < args.size(); ++k) {
+      if (MaskHasColumn(mask, k)) continue;
+      const SlotArg& a = args[k];
+      if (a.kind == SlotArg::kConst) continue;
+      TermId p = a.kind == SlotArg::kComplex ? a.term : ctx->slots[a.slot];
+      if (a.kind == SlotArg::kSlot && store.is_ground(p)) continue;
+      pat.push_back(Instantiate(rule, p, ctx));
+      val.push_back(row[k]);
+    }
+    std::vector<Substitution>& unifiers = ctx->unifiers[plan.base + i];
+    unifiers.clear();
+    Unifier unifier(program_->store(), options_.builtins.unify);
+    st = unifier.EnumerateTuples(pat, val, &unifiers);
+    for (size_t u = 0; st.ok() && u < unifiers.size(); ++u) {
+      size_t umark = ctx->trail.size();
+      BindFrom(rule, unifiers[u], ctx);
+      st = Exec(rule, plan, i + 1, ctx);
+      ctx->Undo(umark);
+    }
+  }
+  ctx->Undo(mark);
+  return st;
+}
+
+Result<bool> BottomUpEvaluator::Holds(const CompiledRule& rule, size_t li,
+                                      ExecCtx* ctx) {
   TermStore* store = program_->store();
-  const Signature& sig = program_->signature();
-  Lease<Tuple> args_lease(&tuple_pool_);
-  Tuple& args = *args_lease;
-  args.resize(lit.args.size());
-  for (size_t i = 0; i < args.size(); ++i) {
-    args[i] = theta.Apply(store, lit.args[i]);
-    if (!store->is_ground(args[i])) {
+  const Literal& lit = rule.clause->body[li];
+  const std::vector<SlotArg>& args = rule.body_args[li];
+  Tuple& vals = ctx->out;
+  vals.resize(args.size());
+  for (size_t k = 0; k < args.size(); ++k) {
+    vals[k] = Resolve(rule, args[k], ctx);
+    if (!store->is_ground(vals[k])) {
       return Status::SafetyError(
-          "literal " + sig.Name(lit.pred) +
+          "literal " + program_->signature().Name(lit.pred) +
           " is not ground where a ground check is required (unsafe "
           "clause?)");
     }
   }
-  if (sig.IsBuiltin(lit.pred)) {
-    return CheckBuiltin(store, lit.pred, args, options_.builtins);
+  if (program_->signature().IsBuiltin(lit.pred)) {
+    return CheckBuiltin(store, lit.pred, vals, options_.builtins);
   }
-  return db_->Contains(lit.pred, args);
+  return db_->Contains(lit.pred, vals);
 }
 
-Status BottomUpEvaluator::HandleQuantifiers(
-    const CompiledRule& rule, Substitution* theta,
-    const std::function<Status(Substitution*)>& cont) {
+Status BottomUpEvaluator::Quantify(const CompiledRule& rule, ExecCtx* ctx) {
   const Clause& clause = *rule.clause;
-  if (clause.quantifiers.empty()) return cont(theta);
   TermStore* store = program_->store();
 
-  // Resolve the ranges; all must be ground sets here.
-  std::vector<std::vector<TermId>> ranges;
-  ranges.reserve(clause.quantifiers.size());
-  std::vector<TermId> qvars;
-  for (const Quantifier& q : clause.quantifiers) {
-    TermId r = theta->Apply(store, q.range);
+  // Resolve the ranges; all must be ground sets here. Their elements
+  // are copied out: verification can intern terms, which may move the
+  // store's argument arena.
+  ctx->q_elems.clear();
+  ctx->q_begin.clear();
+  for (size_t q = 0; q < clause.quantifiers.size(); ++q) {
+    TermId r = Resolve(rule, rule.range_args[q], ctx);
     if (!store->is_ground(r) || store->kind(r) != TermKind::kSet) {
-      return Status::SafetyError("quantifier range not bound: " +
-                                 TermToString(*store, q.range));
+      return Status::SafetyError(
+          "quantifier range not bound: " +
+          TermToString(*store, clause.quantifiers[q].range));
     }
-    if (store->args(r).empty()) {
-      // Vacuous truth is handled by the empty-range branch.
-      return Status::OK();
-    }
+    // An empty range is vacuous truth: the empty-range branch covers it.
+    if (store->args(r).empty()) return Status::OK();
+    ctx->q_begin.push_back(ctx->q_elems.size());
     auto elems = store->args(r);
-    ranges.emplace_back(elems.begin(), elems.end());
-    qvars.push_back(q.var);
+    ctx->q_elems.insert(ctx->q_elems.end(), elems.begin(), elems.end());
   }
+  ctx->q_begin.push_back(ctx->q_elems.size());
 
-  const std::vector<size_t>& qlits = rule.plan.quantified_literals;
-  if (qlits.empty()) return cont(theta);
-
-  // Verifies all combinations for a candidate binding of free vars.
-  auto verify_all = [&](Substitution* base) -> Result<bool> {
-    std::vector<size_t> idx(ranges.size(), 0);
-    for (;;) {
-      Substitution combo = *base;
-      for (size_t i = 0; i < ranges.size(); ++i) {
-        combo.Bind(qvars[i], ranges[i][idx[i]]);
-      }
-      ++stats_.combos_checked;
-      for (size_t li : qlits) {
-        const Literal& lit = clause.body[li];
-        LPS_ASSIGN_OR_RETURN(bool holds, LiteralHolds(lit, combo));
-        if (holds != lit.positive) return false;
-      }
-      size_t i = 0;
-      while (i < ranges.size() && ++idx[i] == ranges[i].size()) {
-        idx[i] = 0;
-        ++i;
-      }
-      if (i == ranges.size()) break;
-    }
-    return true;
-  };
-
-  if (rule.plan.seed_vars.empty()) {
-    LPS_ASSIGN_OR_RETURN(bool ok, verify_all(theta));
-    if (ok) return cont(theta);
-    return Status::OK();
+  if (rule.plan.quantified_literals.empty()) return RunTail(rule, ctx);
+  if (rule.seed_slots.empty()) {
+    LPS_ASSIGN_OR_RETURN(bool ok, VerifyAll(rule, ctx));
+    return ok ? RunTail(rule, ctx) : Status::OK();
   }
 
   // Division with first-element seeding: solve the quantified literals
-  // at the first combination to obtain candidate bindings for the
-  // seed variables, then verify each candidate on all combinations.
+  // at the first combination to obtain candidate bindings for the seed
+  // variables, then verify each candidate on all combinations.
   ++stats_.seed_joins;
-  Substitution first = *theta;
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    first.Bind(qvars[i], ranges[i][0]);
+  ctx->seen.clear();
+  ctx->q_mark = ctx->trail.size();
+  for (size_t q = 0; q < rule.qvar_slots.size(); ++q) {
+    ctx->Bind(rule.qvar_slots[q], ctx->q_elems[ctx->q_begin[q]]);
   }
-
-  // Dedup candidates by their seed-variable values.
-  std::vector<std::vector<TermId>> seen;
-  return ExecSteps(
-      rule, rule.plan.seed_plan.steps, 0, &first, nullptr,
-      [&](Substitution* sol) -> Status {
-        std::vector<TermId> fingerprint;
-        fingerprint.reserve(rule.plan.seed_vars.size());
-        for (TermId v : rule.plan.seed_vars) {
-          fingerprint.push_back(sol->Apply(store, v));
-        }
-        if (std::find(seen.begin(), seen.end(), fingerprint) !=
-            seen.end()) {
-          return Status::OK();
-        }
-        seen.push_back(fingerprint);
-        Substitution candidate = *theta;
-        for (size_t i = 0; i < rule.plan.seed_vars.size(); ++i) {
-          candidate.Bind(rule.plan.seed_vars[i], fingerprint[i]);
-        }
-        LPS_ASSIGN_OR_RETURN(bool ok, verify_all(&candidate));
-        if (ok) return cont(&candidate);
-        return Status::OK();
-      });
+  Status st = Run(rule, rule.seed, ctx);
+  ctx->Undo(ctx->q_mark);
+  return st;
 }
 
-Status BottomUpEvaluator::EmitHead(const CompiledRule& rule,
-                                   Substitution* theta) {
-  if (rule.clause->grouping.has_value()) {
-    return Status::Internal("EmitHead called for grouping rule");
+Status BottomUpEvaluator::SeedCandidate(const CompiledRule& rule,
+                                        ExecCtx* ctx) {
+  // Dedup candidates by their seed-variable values.
+  const size_t k = rule.seed_slots.size();
+  const size_t first = ctx->seen.size();
+  for (uint32_t s : rule.seed_slots) {
+    TermId v = ctx->slots[s];
+    ctx->seen.push_back(v == kInvalidTerm ? rule.slot_vars[s] : v);
   }
+  for (size_t at = 0; at < first; at += k) {
+    if (std::equal(ctx->seen.begin() + at, ctx->seen.begin() + at + k,
+                   ctx->seen.begin() + first)) {
+      ctx->seen.resize(first);
+      return Status::OK();
+    }
+  }
+
+  // Switch to the candidate - the bindings Quantify was entered with
+  // plus the seed values - setting aside everything bound since then
+  // (the quantifier variables and the seed plan's own bindings), and
+  // restore the seed plan's state afterwards so its scans resume.
+  const size_t top = ctx->trail.size();
+  ctx->saved_trail.assign(ctx->trail.begin() + ctx->q_mark,
+                          ctx->trail.end());
+  ctx->saved_vals.clear();
+  for (const auto& [s, old] : ctx->saved_trail) {
+    ctx->saved_vals.push_back(ctx->slots[s]);
+  }
+  ctx->Undo(ctx->q_mark);
+  for (size_t j = 0; j < k; ++j) {
+    ctx->Bind(rule.seed_slots[j], ctx->seen[first + j]);
+  }
+  Result<bool> ok = VerifyAll(rule, ctx);
+  Status st = !ok.ok() ? ok.status()
+              : *ok    ? RunTail(rule, ctx)
+                       : Status::OK();
+  ctx->Undo(ctx->q_mark);
+  for (size_t j = 0; j < ctx->saved_trail.size(); ++j) {
+    ctx->trail.push_back(ctx->saved_trail[j]);
+    ctx->slots[ctx->saved_trail[j].first] = ctx->saved_vals[j];
+  }
+  assert(ctx->trail.size() == top);
+  (void)top;
+  return st;
+}
+
+Result<bool> BottomUpEvaluator::VerifyAll(const CompiledRule& rule,
+                                          ExecCtx* ctx) {
+  // Every combination of quantifier values must satisfy every
+  // quantified literal; the quantifier slots are set in place (first
+  // quantifier fastest) and restored on the way out.
+  const Clause& clause = *rule.clause;
+  const size_t nq = rule.qvar_slots.size();
+  ctx->q_idx.assign(nq, 0);
+  const size_t mark = ctx->trail.size();
+  for (size_t q = 0; q < nq; ++q) {
+    ctx->Bind(rule.qvar_slots[q], ctx->q_elems[ctx->q_begin[q]]);
+  }
+  Status st;
+  bool ok = true;
+  for (;;) {
+    ++stats_.combos_checked;
+    for (size_t li : rule.plan.quantified_literals) {
+      Result<bool> holds = Holds(rule, li, ctx);
+      if (!holds.ok()) st = holds.status();
+      if (!holds.ok() || *holds != clause.body[li].positive) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) break;
+    size_t q = 0;
+    while (q < nq) {
+      size_t size = ctx->q_begin[q + 1] - ctx->q_begin[q];
+      if (++ctx->q_idx[q] < size) break;
+      ctx->q_idx[q] = 0;
+      ctx->slots[rule.qvar_slots[q]] = ctx->q_elems[ctx->q_begin[q]];
+      ++q;
+    }
+    if (q == nq) break;
+    ctx->slots[rule.qvar_slots[q]] =
+        ctx->q_elems[ctx->q_begin[q] + ctx->q_idx[q]];
+  }
+  ctx->Undo(mark);
+  LPS_RETURN_IF_ERROR(st);
+  return ok;
+}
+
+Status BottomUpEvaluator::EmptyRange(const CompiledRule& rule,
+                                     ExecCtx* ctx) {
   TermStore* store = program_->store();
-  Lease<Tuple> out_lease(&tuple_pool_);
-  Tuple& out = *out_lease;
-  out.reserve(rule.clause->head.args.size());
-  for (TermId a : rule.clause->head.args) {
-    TermId t = theta->Apply(store, a);
-    if (!store->is_ground(t)) {
+  for (const SlotArg& range : rule.range_args) {
+    TermId r = Resolve(rule, range, ctx);
+    if (!store->is_ground(r) || store->kind(r) != TermKind::kSet) {
+      return Status::SafetyError(
+          "quantifier range not bound in empty-range branch");
+    }
+    if (store->args(r).empty()) return RunTail(rule, ctx);
+  }
+  return Status::OK();
+}
+
+Status BottomUpEvaluator::BuildHead(const CompiledRule& rule,
+                                    ExecCtx* ctx) const {
+  const TermStore& store = *program_->store();
+  Tuple& out = ctx->out;
+  out.clear();
+  for (const SlotArg& a : rule.head_args) {
+    TermId t = Resolve(rule, a, ctx);
+    if (!store.is_ground(t)) {
       return Status::SafetyError(
           "head variable not bound by the body in clause for " +
           program_->signature().Name(rule.clause->head.pred) +
@@ -1158,10 +1325,69 @@ Status BottomUpEvaluator::EmitHead(const CompiledRule& rule,
     }
     out.push_back(t);
   }
-  if (db_->AddTuple(rule.clause->head.pred, out)) {
-    if (++stats_.tuples_derived > options_.max_tuples) {
-      return Status::ResourceExhausted("tuple limit exceeded");
+  return Status::OK();
+}
+
+Status BottomUpEvaluator::RunTail(const CompiledRule& rule, ExecCtx* ctx) {
+  const PredicateId pred = rule.clause->head.pred;
+  switch (ctx->tail) {
+    case Tail::kInsert:
+      LPS_RETURN_IF_ERROR(BuildHead(rule, ctx));
+      if (db_->AddTuple(pred, ctx->out)) {
+        if (++stats_.tuples_derived > options_.max_tuples) {
+          return Status::ResourceExhausted("tuple limit exceeded");
+        }
+      }
+      return Status::OK();
+    case Tail::kBuffer:
+      // Contains reads the frozen database; the real dedup happens when
+      // the coordinator merges.
+      LPS_RETURN_IF_ERROR(BuildHead(rule, ctx));
+      if (db_->Contains(pred, ctx->out)) return Status::OK();
+      ctx->heads->Upsert(ctx->out);
+      if (ctx->heads->num_groups() > options_.max_tuples) {
+        return Status::ResourceExhausted("tuple limit exceeded");
+      }
+      return Status::OK();
+    case Tail::kCollect:
+      LPS_RETURN_IF_ERROR(BuildHead(rule, ctx));
+      ctx->derived.insert(ctx->derived.end(), ctx->out.begin(),
+                          ctx->out.end());
+      ++ctx->derived_rows;
+      return Status::OK();
+    case Tail::kWitness:
+      ctx->found = true;
+      return Status(StatusCode::kAlreadyExists, std::string());
+    case Tail::kGroup:
+      break;
+  }
+  // Grouping: key = head args except the grouped position.
+  const TermStore& store = *program_->store();
+  const GroupSpec& g = *rule.clause->grouping;
+  Tuple& key = ctx->out;
+  key.clear();
+  for (size_t i = 0; i < rule.head_args.size(); ++i) {
+    if (i == g.arg_index) continue;
+    TermId v = Resolve(rule, rule.head_args[i], ctx);
+    if (!store.is_ground(v)) {
+      return Status::SafetyError(
+          "unbound head variable in grouping clause for " +
+          program_->signature().Name(pred));
     }
+    key.push_back(v);
+  }
+  TermId gv = Resolve(rule, rule.grouped, ctx);
+  if (!store.is_ground(gv)) {
+    return Status::SafetyError(
+        "grouped variable not bound by the body of the grouping clause "
+        "for " +
+        program_->signature().Name(pred));
+  }
+  if (ctx->group != nullptr) {
+    ctx->group->AppendPair(key, gv);
+  } else {
+    ctx->group_keys.insert(ctx->group_keys.end(), key.begin(), key.end());
+    ctx->group_elems.push_back(gv);
   }
   return Status::OK();
 }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "base/worker_pool.h"
 #include "eval/builtins.h"
@@ -27,6 +28,7 @@
 #include "eval/groupby.h"
 #include "eval/plan.h"
 #include "lang/program.h"
+#include "term/substitution.h"
 #include "transform/stratify.h"
 
 namespace lps {
@@ -143,35 +145,100 @@ class BottomUpEvaluator {
 
  private:
   // The incremental maintainer (eval/incremental.h) reuses the compiled
-  // rules and the delta-driven join machinery (RunRule + DeltaSpec) to
-  // re-converge after a mutation batch without a from-scratch fixpoint.
+  // rules and the join executor (Run + DeltaSpec) to re-converge after a
+  // mutation batch without a from-scratch fixpoint.
   friend class IncrementalMaintainer;
+
+  // ---- The slot-compiled join executor (DESIGN.md section 6) ---------
+  //
+  // CompileRules numbers every variable of a rule densely; bindings are
+  // then a TermId array indexed by slot (kInvalidTerm = unbound) with an
+  // undo trail, and every argument is pre-classified so the join reads a
+  // constant or a slot without touching a hash map. One executor (Exec)
+  // runs every plan of every rule: the sequential fixpoint, the parallel
+  // delta shards, grouping bodies, quantifier seeding and the incremental
+  // maintainer's passes. What happens to a complete body is selected by
+  // the context's Tail, not by a continuation.
+
+  /// How a rule argument is read from the slots.
+  struct SlotArg {
+    enum Kind : uint8_t {
+      kConst,    // ground term (set and function constants included)
+      kSlot,     // plain variable: slots[slot]
+      kComplex,  // non-ground set or function term: instantiated through
+                 // Substitution::Apply, the only place it interns
+    };
+    Kind kind = kConst;
+    uint32_t slot = 0;
+    TermId term = kInvalidTerm;  // the constant, variable or term itself
+  };
+
+  /// A plan step compiled against the rule's slots.
+  struct ExecStep {
+    StepKind kind;
+    uint32_t literal = 0;  // body literal (scan / builtin / negated)
+    uint32_t slot = 0;     // enumeration steps: the variable's slot
+    // Scan steps: the bound-column mask, fixed at compile time unless a
+    // builtin or a complex unification earlier in the plan makes
+    // boundness data-dependent (then `dynamic_mask`, and the mask is
+    // read off the slots per execution).
+    uint32_t mask = 0;
+    bool dynamic_mask = false;
+  };
+
+  /// What a plan does when its last step has matched.
+  enum class PlanEnd : uint8_t {
+    kTail,        // hand the bindings to the context's Tail
+    kQuantify,    // verify the rule's forall quantifiers, then the Tail
+    kSeed,        // division seeding: collect a seed-variable candidate
+    kEmptyRange,  // empty-range branch (Definition 4): some range empty?
+  };
+
+  struct ExecPlan {
+    std::vector<ExecStep> steps;
+    uint32_t base = 0;  // offset of steps[0] in ExecCtx's per-step scratch
+    PlanEnd end = PlanEnd::kTail;
+  };
 
   struct CompiledRule {
     const Clause* clause = nullptr;
     RulePlan plan;
     bool horn_simple = false;   // eligible for delta joins
     // Flat fragment: only kScan / kNegated-on-user-predicate steps and
-    // every literal and head argument is ground or a plain variable
-    // (ground set and function terms included - Substitution::Apply
-    // short-circuits on ground terms, so set-carrying EDB scans shard
-    // like any other flat rule). Executing such a rule provably never
-    // interns new terms or touches the database's mutable state, so its
-    // delta joins can be sharded across worker threads against a frozen
-    // snapshot.
+    // every literal and head argument is a constant or a plain variable
+    // (ground set and function terms are constants). Executing such a
+    // rule provably never interns new terms or touches the database's
+    // mutable state, so its delta joins can be sharded across worker
+    // threads against a frozen snapshot.
     bool parallel_safe = false;
     // Grouping rules in the same flat fragment (no quantifiers, flat
     // key and body args): the grouping body scan can be sharded, with
     // per-task (key, element) buffers merged in deterministic task
     // order into the group accumulator.
     bool group_parallel_safe = false;
-    // For parallel_safe rules: the bound-column mask of each free_plan
-    // step (meaningful for kScan steps only). Static because boundness
-    // at any plan position is determined by the plan alone.
-    std::vector<uint32_t> scan_masks;
     std::vector<size_t> in_stratum_literals;  // positive user literals on
                                               // same-stratum predicates
     uint64_t last_version = UINT64_MAX;       // for complex-rule gating
+
+    // Slot compilation (CompileSlots).
+    std::vector<TermId> slot_vars;  // slot -> variable
+    std::unordered_map<TermId, uint32_t> slot_of;  // variable -> slot
+    std::vector<std::vector<SlotArg>> body_args;   // per body literal
+    std::vector<SlotArg> head_args;
+    std::vector<SlotArg> range_args;  // per quantifier
+    std::vector<uint32_t> qvar_slots;  // per quantifier
+    std::vector<uint32_t> seed_slots;  // plan.seed_vars
+    SlotArg grouped;                   // grouping rules: the grouped var
+    ExecPlan free;                     // plan.free_plan
+    std::vector<ExecPlan> delta;       // plan.delta_plans (may be empty)
+    ExecPlan seed;                     // plan.seed_plan
+    ExecPlan empty_branch;             // plan.empty_branch_plan
+    // Horn rules compiled for the incremental maintainer: the body
+    // planned with the head bound, for its rederive searches
+    // (witness_plan empty otherwise).
+    BodyPlan witness_plan;
+    ExecPlan witness;
+    uint32_t num_steps = 0;  // total steps over all compiled plans
   };
 
   // Delta restriction for one scan literal. Range mode (rows ==
@@ -180,7 +247,8 @@ class BottomUpEvaluator {
   // restricts it to the explicit RowIds rows[begin..end), which sit at
   // arbitrary arena positions - incremental maintenance's deltas
   // (over-deleted or re-inserted rows) are not contiguous. Rows-mode
-  // scans skip the index probe and re-check every bound column per row.
+  // scans skip the index probe, re-check every column per row, and
+  // take the rows as given, tombstoned or not.
   struct DeltaSpec {
     size_t literal_index;
     size_t begin;
@@ -188,142 +256,208 @@ class BottomUpEvaluator {
     const std::vector<RowId>* rows = nullptr;
   };
 
-  // One sharded unit of parallel work: a chunk of a rule's delta range.
+  /// What the executor does with each complete body.
+  enum class Tail : uint8_t {
+    kInsert,   // add the head to the database (sequential fixpoint,
+               // empty-range branch, incremental insert)
+    kBuffer,   // parallel shard: buffer heads the frozen database lacks
+    kGroup,    // grouping: accumulate (key, grouped value)
+    kCollect,  // buffer every head (incremental over-delete/propagate)
+    kWitness,  // stop at the first complete body (incremental rederive)
+  };
+
+  /// Executor state for one run: the slot bindings and their trail,
+  /// per-step scratch, and the Tail's buffers. The sequential path
+  /// reuses one context; each parallel lane has its own (cache-line
+  /// aligned: lanes write their contexts on every step).
+  struct alignas(64) ExecCtx {
+    Tail tail = Tail::kInsert;
+    // Frozen database (parallel phases): scans use LookupSnapshot and
+    // nothing shared is mutated, so any number of lanes may run.
+    bool snapshot = false;
+    const DeltaSpec* delta = nullptr;
+    GroupAccumulator* group = nullptr;  // kGroup: accumulate here, or
+                                        // into group_keys/elems if null
+    std::vector<TermId> slots;
+    std::vector<std::pair<uint32_t, TermId>> trail;  // (slot, old value)
+    std::vector<std::vector<RowId>> hits;            // per step
+    std::vector<Tuple> keys;                         // per step
+    std::vector<std::vector<Substitution>> unifiers;  // per step
+    Tuple out;                 // head / literal argument scratch
+    Substitution sub;          // complex-term instantiation scratch
+    // kBuffer: the distinct heads the frozen database lacks, in first
+    // derivation order (the accumulator's key arena; a task derives for
+    // one head predicate), so the buffer and the max_tuples check count
+    // distinct tuples, not join multiplicity.
+    GroupAccumulator* heads = nullptr;
+    // kCollect: every head, flat.
+    std::vector<TermId> derived;
+    size_t derived_rows = 0;
+    std::vector<TermId> group_keys;   // kGroup without `group`: pair i is
+    std::vector<TermId> group_elems;  // the key span i plus elems[i]
+    size_t snapshot_fallbacks = 0;
+    bool found = false;  // kWitness
+    // Quantifier scratch (sequential only; quantifier handling never
+    // nests).
+    std::vector<TermId> q_elems;   // every range's elements, flat
+    std::vector<size_t> q_begin;   // range q is q_elems[q_begin[q]..[q+1])
+    std::vector<size_t> q_idx;
+    std::vector<TermId> seen;      // seed candidates, flat
+    size_t q_mark = 0;             // trail mark before seeding
+    std::vector<std::pair<uint32_t, TermId>> saved_trail;
+    std::vector<TermId> saved_vals;
+    // Cooperative deadline countdown (CheckDeadline), per context so
+    // lanes never share it.
+    uint32_t deadline_tick = 0;
+
+    void Bind(uint32_t s, TermId v) {
+      trail.emplace_back(s, slots[s]);
+      slots[s] = v;
+    }
+    void Undo(size_t mark) {
+      while (trail.size() > mark) {
+        slots[trail.back().first] = trail.back().second;
+        trail.pop_back();
+      }
+    }
+  };
+
+  // One unit of delta work for the parallel phase: a rule's delta (or
+  // a chunk of it).
   struct ParallelTask {
     const CompiledRule* rule;
     DeltaSpec spec;
   };
-
-  // Per-task worker state: derived tuples buffered for the merge, a
-  // per-depth scratch pool for snapshot probes, and local counters.
-  struct FlatResult {
-    std::vector<std::pair<PredicateId, Tuple>> derived;
-    // Grouping-mode buffers (FlatCtx::group != nullptr): pair i is the
-    // key span at [i * key_width, (i + 1) * key_width) in group_keys
-    // plus group_elems[i]. Flat so a task's accumulation allocates
-    // nothing per body row.
+  // A parallel task's output, moved out of its lane's context for the
+  // merge (cache-line aligned: neighbouring tasks run on other lanes).
+  struct alignas(64) TaskResult {
+    Status status;
+    GroupAccumulator heads;  // kBuffer tasks write here directly
     std::vector<TermId> group_keys;
     std::vector<TermId> group_elems;
-    Status status;
     size_t snapshot_fallbacks = 0;
-  };
-  // Trail-based variable bindings for the flat fragment: flat rules
-  // bind only plain variables, so a small undo stack with linear
-  // lookup replaces the per-row Substitution (hash map) copies that
-  // used to dominate the flat executor's allocation profile.
-  struct FlatBindings {
-    std::vector<std::pair<TermId, TermId>> binds;
-    size_t Mark() const { return binds.size(); }
-    void Undo(size_t mark) { binds.resize(mark); }
-    void Bind(TermId var, TermId value) { binds.emplace_back(var, value); }
-    TermId Apply(const TermStore& store, TermId term) const {
-      if (store.node(term).kind != TermKind::kVariable) return term;
-      for (auto it = binds.rbegin(); it != binds.rend(); ++it) {
-        if (it->first == term) return it->second;
-      }
-      return term;
-    }
-  };
-  struct FlatCtx {
-    FlatResult* result;
-    // Non-null: grouping accumulation - the tail buffers (key, element)
-    // pairs instead of head tuples.
-    const GroupSpec* group = nullptr;
-    FlatBindings binds;
-    std::vector<std::vector<uint32_t>> scratch;  // probe hits, per depth
-    std::vector<Tuple> patterns;                 // scan patterns, per depth
-    std::vector<Tuple> keys;                     // probe keys, per depth
-    Tuple out;                                   // head-emission scratch
-    // Task-local dedup (a task derives for exactly one head predicate):
-    // keeps `derived` and the max_tuples check counting distinct
-    // tuples, not join multiplicity.
-    std::unordered_set<Tuple, TupleHash> emitted;
-    // Per-task cooperative deadline countdown (CheckDeadline). Lives
-    // here rather than on the evaluator because ExecFlatSteps is const
-    // and runs concurrently on worker lanes - a shared counter would
-    // be a data race.
-    uint32_t deadline_tick = 0;
-
-    void SizeToPlan(size_t depth) {
-      scratch.resize(depth);
-      patterns.resize(depth);
-      keys.resize(depth);
+    void TakeFrom(ExecCtx* ctx) {
+      group_keys.swap(ctx->group_keys);
+      group_elems.swap(ctx->group_elems);
+      snapshot_fallbacks = ctx->snapshot_fallbacks;
     }
   };
 
-  /// (Re)compiles every clause into rules_: plans, horn/flat analysis,
-  /// static scan masks. Shared by Evaluate() and the incremental
-  /// maintainer, which drives RunRule with hand-built DeltaSpecs.
-  Status CompileRules();
+  /// (Re)compiles every clause into rules_: plans, slots, horn/flat
+  /// analysis. Shared by Evaluate() and the incremental maintainer,
+  /// which alone asks for `witness_plans` (each Horn rule's body planned
+  /// with the head bound, for its rederive searches).
+  Status CompileRules(bool witness_plans = false);
+  void CompileSlots(CompiledRule* rule) const;
 
   Status EvaluateStratum(const std::vector<size_t>& clause_indices,
                          const Stratification& strat, size_t stratum);
+  /// Sequential run of the free plan (restricted by `delta` when set)
+  /// inserting straight into the database.
   Status RunRule(CompiledRule* rule, const DeltaSpec* delta);
   Status RunGroupingRule(CompiledRule* rule);
-  /// Shards the grouping body scan of a flat grouping rule across the
-  /// pool and merges per-task (key, element) buffers into group_acc_ in
-  /// task order. Returns false (without touching group_acc_) when the
-  /// rule is better run sequentially (no scan step / tiny relation).
+  /// Runs a flat grouping rule across the pool: tasks shard the body
+  /// scan into per-task (key, element) buffers, then every lane
+  /// accumulates and canonicalizes the groups whose key hashes to it,
+  /// and this thread interns and emits them in first-witness order.
+  /// Returns false (having done nothing) when the rule is better run
+  /// inline (no pool / no scan step / tiny relation).
   Result<bool> RunGroupingParallel(CompiledRule* rule);
+  /// Inserts the group tuple: `key` with `set` at the grouped position.
+  Status EmitGroup(const CompiledRule& rule, TupleRef key, TermId set);
   Status RunEmptyBranch(CompiledRule* rule);
 
-  /// Decides parallel-safety and precomputes static scan masks.
+  /// Builds every index `rule`'s free-plan scans probe, so snapshot
+  /// probes during a parallel phase never fall back to scanning.
+  void EnsureScanIndexes(const CompiledRule& rule);
+
+  /// Decides parallel-safety from the compiled slots.
   void AnalyzeRuleForParallel(CompiledRule* rule) const;
 
-  /// Phase A of a parallel iteration: shards every parallel-safe rule's
-  /// delta range across the pool, runs the chunks against the frozen
-  /// database, then merges the buffered derivations in deterministic
-  /// task order.
+  /// Phase A of a parallel iteration: runs every parallel-safe rule's
+  /// delta joins in chunks. A phase whose delta is large enough to pay
+  /// for a fork runs them across the pool against the frozen database
+  /// into task buffers, merged in deterministic task order; a smaller
+  /// one runs them in order on this thread, inserting directly, when
+  /// that provably derives the same tuples in the same order (and forks
+  /// otherwise).
   Status RunParallelDeltaPhase(
       const std::vector<size_t>& clause_indices,
       const std::unordered_map<PredicateId, std::pair<size_t, size_t>>&
           delta);
 
-  /// Read-only flat-rule interpreter used by workers (and, for flat
-  /// grouping rules, by the coordinator). Must not touch the term
-  /// store, database, stats_, or any other shared mutable state (the
-  /// database is frozen for the duration of the phase). Bindings live
-  /// in ctx->binds (trail-based, undone on backtrack).
-  Status ExecFlatSteps(const CompiledRule& rule, size_t idx,
-                       const DeltaSpec& delta, FlatCtx* ctx) const;
+  /// Resets `ctx` for a run of `rule` (all slots unbound).
+  static void ResetCtx(const CompiledRule& rule, Tail tail,
+                       const DeltaSpec* delta, bool snapshot,
+                       ExecCtx* ctx);
 
-  // Executes plan steps [idx..) extending theta; calls cont on success.
-  Status ExecSteps(const CompiledRule& rule,
-                   const std::vector<PlanStep>& steps, size_t idx,
-                   Substitution* theta, const DeltaSpec* delta,
-                   const std::function<Status(Substitution*)>& cont);
+  /// Runs `plan` from step 0 with ctx's current bindings.
+  Status Run(const CompiledRule& rule, const ExecPlan& plan, ExecCtx* ctx) {
+    return Exec(rule, plan, 0, ctx);
+  }
 
-  Status HandleQuantifiers(const CompiledRule& rule, Substitution* theta,
-                           const std::function<Status(Substitution*)>& cont);
+  /// The executor: matches plan.steps[i..] and, past the last step,
+  /// acts on plan.end. In snapshot mode it reads only frozen state and
+  /// writes only ctx, so lanes can run it concurrently.
+  Status Exec(const CompiledRule& rule, const ExecPlan& plan, size_t i,
+              ExecCtx* ctx);
+  Status ExecScan(const CompiledRule& rule, const ExecPlan& plan, size_t i,
+                  ExecCtx* ctx);
+  /// Binds the unmasked columns of `row` against literal `args`, then
+  /// continues with step i + 1 (through the Unifier when a column is a
+  /// complex term); undoes its bindings before returning.
+  Status MatchRow(const CompiledRule& rule, const ExecPlan& plan, size_t i,
+                  TupleRef row, uint32_t mask, ExecCtx* ctx);
+  Status Quantify(const CompiledRule& rule, ExecCtx* ctx);
+  Status SeedCandidate(const CompiledRule& rule, ExecCtx* ctx);
+  Result<bool> VerifyAll(const CompiledRule& rule, ExecCtx* ctx);
+  Status EmptyRange(const CompiledRule& rule, ExecCtx* ctx);
+  Status RunTail(const CompiledRule& rule, ExecCtx* ctx);
 
-  // True if the (ground) literal holds in the current database.
-  Result<bool> LiteralHolds(const Literal& lit, const Substitution& theta);
-
-  Status EmitHead(const CompiledRule& rule, Substitution* theta);
+  /// Current value of `arg`: the constant, the slot's value (the
+  /// variable itself when unbound), or the instantiated complex term.
+  TermId Resolve(const CompiledRule& rule, const SlotArg& arg,
+                 ExecCtx* ctx) const {
+    switch (arg.kind) {
+      case SlotArg::kConst:
+        return arg.term;
+      case SlotArg::kSlot: {
+        TermId v = ctx->slots[arg.slot];
+        return v == kInvalidTerm ? arg.term : v;
+      }
+      case SlotArg::kComplex:
+        break;
+    }
+    return Instantiate(rule, arg.term, ctx);
+  }
+  /// Applies the bound slots to `term` (Substitution at the boundary).
+  TermId Instantiate(const CompiledRule& rule, TermId term,
+                     ExecCtx* ctx) const;
+  /// Copies a Unifier / EvalBuiltin result into the slots (trailed).
+  static void BindFrom(const CompiledRule& rule, const Substitution& ext,
+                       ExecCtx* ctx);
+  /// ctx->out := the ground head (SafetyError if a head arg is unbound).
+  Status BuildHead(const CompiledRule& rule, ExecCtx* ctx) const;
+  /// True if ground body literal `li` holds (user relation or builtin).
+  Result<bool> Holds(const CompiledRule& rule, size_t li, ExecCtx* ctx);
 
   /// Cooperative deadline probe: reads the clock only on every 1024th
-  /// call (counted through *tick, which the caller owns - a member for
-  /// the sequential path, FlatCtx::deadline_tick per worker task), so
-  /// the per-step cost is one branch and an increment. Returns
-  /// kDeadlineExceeded once options_.deadline has passed, OK before
-  /// (and always OK when no deadline is set).
+  /// call (counted through *tick, which the caller owns - one per
+  /// ExecCtx), so the per-step cost is one branch and an increment.
+  /// Returns kDeadlineExceeded once options_.deadline has passed, OK
+  /// before (and always OK when no deadline is set).
   Status CheckDeadline(uint32_t* tick) const;
 
   const Program* program_;
   Database* db_;
   EvalOptions options_;
   EvalStats stats_;
-  uint32_t deadline_tick_ = 0;  // CheckDeadline countdown, sequential path
-
-  // Recycled scratch buffers for the sequential join loop: ExecSteps
-  // frames lease a buffer on entry and return it on exit, so steady-
-  // state scans allocate nothing per row (see Lease in bottomup.cc).
-  std::vector<Tuple> tuple_pool_;
-  std::vector<std::vector<RowId>> rowid_pool_;
+  ExecCtx seq_ctx_;  // the sequential path's reusable context
 
   // Non-null iff the resolved thread count is > 1 and semi-naive mode
   // is on; reused across iterations and strata.
   std::unique_ptr<WorkerPool> pool_;
+  std::vector<ExecCtx> lane_ctx_;  // one per pool lane
 
   std::vector<CompiledRule> rules_;
   // Arena-backed accumulator for the grouping rule being run, plus the

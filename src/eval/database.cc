@@ -14,38 +14,32 @@ Database::Database(TermStore* store, const Signature* sig)
 }
 
 Relation& Database::relation(PredicateId pred) {
-  auto it = relations_.find(pred);
-  if (it != relations_.end()) {
+  if (pred >= relations_.size()) relations_.resize(pred + 1);
+  std::shared_ptr<Relation>& rel = relations_[pred];
+  if (rel == nullptr) {
+    rel = std::make_shared<Relation>(sig_->info(pred).arity());
+  } else if (rel.use_count() > 1) {
     // Copy-on-write: a relation shared with a published snapshot
     // (CloneIntoCow) must be privatized before any mutation escapes.
-    if (it->second.use_count() > 1) {
-      it->second = std::make_shared<Relation>(*it->second);
-    }
-    return *it->second;
+    rel = std::make_shared<Relation>(*rel);
   }
-  size_t arity = sig_->info(pred).arity();
-  return *relations_.emplace(pred, std::make_shared<Relation>(arity))
-              .first->second;
+  return *rel;
 }
 
 Relation* Database::MutableRelation(PredicateId pred) {
-  auto it = relations_.find(pred);
-  if (it == relations_.end()) return nullptr;
-  if (it->second.use_count() > 1) {
-    it->second = std::make_shared<Relation>(*it->second);
-  }
-  return it->second.get();
-}
-
-const Relation* Database::FindRelation(PredicateId pred) const {
-  auto it = relations_.find(pred);
-  return it == relations_.end() ? nullptr : it->second.get();
+  if (FindRelation(pred) == nullptr) return nullptr;
+  return &relation(pred);
 }
 
 Relation::InsertOutcome Database::AddTupleEx(PredicateId pred,
                                              TupleRef t) {
-  for (TermId term : t) RegisterTerm(term);
   Relation::InsertOutcome out = relation(pred).InsertRow(t);
+  // Domains are append-only, so only a fresh append can bring new
+  // terms: a duplicate's or a revived row's were registered when the
+  // row was first appended.
+  if (out.added && !out.revived) {
+    for (TermId term : t) RegisterTerm(term);
+  }
   if (out.added) ++version_;
   if (out.revived && revive_log_enabled_) {
     revive_log_.push_back({pred, out.row});
@@ -117,7 +111,7 @@ bool Database::ReviveRow(PredicateId pred, RowId r) {
 
 void Database::RegisterTerm(TermId t) {
   if (!store_->is_ground(t)) return;
-  if (domains_->registered.count(t)) return;
+  if (IsRegistered(t)) return;
   // Copy-on-write: domains shared with a published snapshot
   // (CloneInto / CloneIntoCow alias them) are privatized before the
   // first mutation escapes.
@@ -129,7 +123,12 @@ void Database::RegisterTerm(TermId t) {
 
 void Database::RegisterTermOwned(TermId t) {
   if (!store_->is_ground(t)) return;
-  if (!domains_->registered.insert(t).second) return;
+  if (IsRegistered(t)) return;
+  std::vector<bool>& registered = domains_->registered;
+  if (t >= registered.size()) {
+    registered.resize(std::max<size_t>(store_->size(), size_t{t} + 1));
+  }
+  registered[t] = true;
   ++version_;
   if (store_->sort(t) == Sort::kSet) {
     domains_->sets.push_back(t);
@@ -143,7 +142,9 @@ void Database::RegisterTermOwned(TermId t) {
 
 size_t Database::TupleCount() const {
   size_t n = 0;
-  for (const auto& [pred, rel] : relations_) n += rel->live_size();
+  for (const auto& rel : relations_) {
+    if (rel != nullptr) n += rel->live_size();
+  }
   return n;
 }
 
@@ -155,16 +156,18 @@ size_t Database::RelationSize(PredicateId pred) const {
 std::vector<std::pair<PredicateId, RelationStats>> Database::CollectStats()
     const {
   std::vector<std::pair<PredicateId, RelationStats>> out;
-  out.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) {
-    out.emplace_back(pred, rel->Stats());
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    if (relations_[pred] != nullptr) {
+      out.emplace_back(pred, relations_[pred]->Stats());
+    }
   }
   return out;
 }
 
 Database::StorageStats Database::storage_stats() const {
   StorageStats s;
-  for (const auto& [pred, rel] : relations_) {
+  for (const auto& rel : relations_) {
+    if (rel == nullptr) continue;
     s.arena_bytes += rel->ArenaBytes();
     s.index_bytes += rel->IndexBytes();
     s.dedup_probes += rel->dedup_probes();
@@ -174,8 +177,11 @@ Database::StorageStats Database::storage_stats() const {
 
 size_t Database::CompactTombstones() {
   size_t compacted = 0;
-  for (const auto& [pred, rel] : relations_) {
-    if (rel->dead_count() * 2 <= rel->live_size()) continue;
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    const Relation* rel = relations_[pred].get();
+    if (rel == nullptr || rel->dead_count() * 2 <= rel->live_size()) {
+      continue;
+    }
     MutableRelation(pred)->Compact();
     ++compacted;
   }
@@ -188,9 +194,11 @@ std::unique_ptr<Database> Database::CloneInto(TermStore* store,
   // Plain member copies overwrite the constructor's {}-registration;
   // relations are deep-copied (Relation's value semantics copy arenas
   // and indexes) so the clone never aliases this database's storage.
-  clone->relations_.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) {
-    clone->relations_.emplace(pred, std::make_shared<Relation>(*rel));
+  clone->relations_.resize(relations_.size());
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    if (relations_[pred] != nullptr) {
+      clone->relations_[pred] = std::make_shared<Relation>(*relations_[pred]);
+    }
   }
   // Domains alias rather than copy: they are append-only, and
   // RegisterTerm on either side privatizes before writing.
@@ -202,17 +210,20 @@ std::unique_ptr<Database> Database::CloneInto(TermStore* store,
 std::unique_ptr<Database> Database::CloneIntoCow(
     TermStore* store, const Signature* sig, const Database& prev) const {
   auto clone = std::make_unique<Database>(store, sig);
-  clone->relations_.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) {
-    auto it = prev.relations_.find(pred);
-    if (it != prev.relations_.end() &&
-        it->second->content_tick() == rel->content_tick()) {
+  clone->relations_.resize(relations_.size());
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    const std::shared_ptr<Relation>& rel = relations_[pred];
+    if (rel == nullptr) continue;
+    const std::shared_ptr<Relation>* shared =
+        pred < prev.relations_.size() ? &prev.relations_[pred] : nullptr;
+    if (shared != nullptr && *shared != nullptr &&
+        (*shared)->content_tick() == rel->content_tick()) {
       // Unchanged since prev froze it: alias prev's immutable object.
       // Equal ticks imply identical content (NextContentTick is
       // process-wide unique), and prev's copy is already index-frozen.
-      clone->relations_.emplace(pred, it->second);
+      clone->relations_[pred] = *shared;
     } else {
-      clone->relations_.emplace(pred, std::make_shared<Relation>(*rel));
+      clone->relations_[pred] = std::make_shared<Relation>(*rel);
     }
   }
   clone->domains_ = domains_;
@@ -227,8 +238,9 @@ void Database::EnsureIndex(PredicateId pred, uint32_t mask) {
 }
 
 void Database::FreezeIndexes() {
-  for (auto& [pred, rel] : relations_) {
-    if (rel.use_count() > 1) continue;  // shared => frozen at prior publish
+  for (auto& rel : relations_) {
+    // Shared => frozen at prior publish.
+    if (rel == nullptr || rel.use_count() > 1) continue;
     rel->FreezeIndexes();
   }
 }
@@ -236,22 +248,21 @@ void Database::FreezeIndexes() {
 std::vector<std::pair<PredicateId, const Relation*>> Database::Relations()
     const {
   std::vector<std::pair<PredicateId, const Relation*>> out;
-  out.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) {
-    out.emplace_back(pred, rel.get());
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    if (relations_[pred] != nullptr) {
+      out.emplace_back(pred, relations_[pred].get());
+    }
   }
   return out;
 }
 
 std::string Database::ToString(const Signature& sig) const {
-  // relations_ is an unordered_map, so sort by predicate id: dump order
-  // must not vary run to run (locked in by DatabaseTest).
-  std::vector<PredicateId> preds;
-  for (const auto& [pred, rel] : relations_) preds.push_back(pred);
-  std::sort(preds.begin(), preds.end());
+  // Relations in predicate-id order: dump order must not vary run to
+  // run (locked in by DatabaseTest).
   std::string out;
-  for (PredicateId p : preds) {
-    const Relation& rel = *FindRelation(p);
+  for (PredicateId p = 0; p < relations_.size(); ++p) {
+    if (relations_[p] == nullptr) continue;
+    const Relation& rel = *relations_[p];
     for (RowId r = 0; r < rel.size(); ++r) {
       if (!rel.IsLive(r)) continue;
       out += sig.Name(p);
@@ -264,13 +275,11 @@ std::string Database::ToString(const Signature& sig) const {
 }
 
 std::string Database::ToCanonicalString(const Signature& sig) const {
-  std::vector<PredicateId> preds;
-  for (const auto& [pred, rel] : relations_) preds.push_back(pred);
-  std::sort(preds.begin(), preds.end());
   std::string out;
   std::vector<std::string> rows;
-  for (PredicateId p : preds) {
-    const Relation& rel = *FindRelation(p);
+  for (PredicateId p = 0; p < relations_.size(); ++p) {
+    if (relations_[p] == nullptr) continue;
+    const Relation& rel = *relations_[p];
     rows.clear();
     rows.reserve(rel.live_size());
     for (RowId r = 0; r < rel.size(); ++r) {

@@ -35,10 +35,14 @@ class Database {
   /// relations are never shared (sharing happens snapshot-to-snapshot
   /// only), so the hot evaluation paths never pay the copy.
   Relation& relation(PredicateId pred);
-  const Relation* FindRelation(PredicateId pred) const;
+  const Relation* FindRelation(PredicateId pred) const {
+    return pred < relations_.size() ? relations_[pred].get() : nullptr;
+  }
 
-  /// Inserts a ground tuple; returns true if new. Registers the tuple's
-  /// terms (and, recursively, set elements) in the active domains. The
+  /// Inserts a ground tuple; returns true if new. A fresh append
+  /// registers the tuple's terms (and, recursively, set elements) in
+  /// the active domains; duplicates and revived rows skip that, their
+  /// terms having been registered when the row was first appended. The
   /// TermIds are copied into the relation's row arena; `t` need not
   /// outlive the call.
   bool AddTuple(PredicateId pred, TupleRef t) {
@@ -252,15 +256,20 @@ class Database {
   struct TermDomains {
     std::vector<TermId> atoms;
     std::vector<TermId> sets;
-    std::unordered_set<TermId> registered;
+    std::vector<bool> registered;  // by TermId (ids are dense)
   };
 
   /// RegisterTerm body after the copy-on-write privatization check.
   void RegisterTermOwned(TermId t);
+  bool IsRegistered(TermId t) const {
+    return t < domains_->registered.size() && domains_->registered[t];
+  }
 
   TermStore* store_;
   const Signature* sig_;
-  std::unordered_map<PredicateId, std::shared_ptr<Relation>> relations_;
+  // Indexed by PredicateId (null = not materialized): predicate ids
+  // are dense, so a lookup is an array index.
+  std::vector<std::shared_ptr<Relation>> relations_;
   std::shared_ptr<TermDomains> domains_;
   uint64_t version_ = 0;
   bool revive_log_enabled_ = false;

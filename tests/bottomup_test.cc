@@ -293,8 +293,10 @@ void ExpectSameRelation(Engine* a, Engine* b, const std::string& pred,
 TEST(ParallelEvalTest, FourThreadsReachSameFixpoint) {
   // Legacy plans: cost-based ordering cascades this chain closure to
   // convergence inside round 0, leaving nothing for the delta phase to
-  // shard — this test exercises the sharded rounds themselves.
-  std::string src = TcProgram(40);
+  // shard — this test exercises the sharded rounds themselves. The
+  // chain is long enough for a round's delta to pass the fork floor
+  // (smaller deltas run inline on the coordinator).
+  std::string src = TcProgram(320);
   EvalOptions seq_opts;
   seq_opts.reorder = false;
   auto seq = RunProgram(src, LanguageMode::kLDL, seq_opts);
@@ -315,20 +317,42 @@ TEST(ParallelEvalTest, FourThreadsReachSameFixpoint) {
 
 TEST(ParallelEvalTest, LaneCountDoesNotChangeInsertionOrder) {
   // The merge happens in deterministic task order and chunking only
-  // splits a range that is concatenated back in order, so any lane
-  // count >= 2 produces a byte-identical database.
-  std::string src = TcProgram(40);
+  // splits a range that is concatenated back in order (legacy plans
+  // lead with the delta literal), so any lane count >= 2 produces a
+  // byte-identical database. The chain is long enough for rounds to
+  // fork at both lane counts.
+  std::string src = TcProgram(320);
   EvalOptions two;
   two.threads = 2;
+  two.reorder = false;
   auto p2 = RunProgram(src, LanguageMode::kLDL, two);
   EvalOptions four;
   four.threads = 4;
+  four.reorder = false;
   auto p4 = RunProgram(src, LanguageMode::kLDL, four);
+  EXPECT_GT(p2->eval_stats().parallel_tasks, 0u);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
   EXPECT_EQ(p2->database()->ToString(*p2->signature()),
             p4->database()->ToString(*p4->signature()));
   EXPECT_EQ(p2->eval_stats().tuples_derived,
             p4->eval_stats().tuples_derived);
   EXPECT_EQ(p2->eval_stats().iterations, p4->eval_stats().iterations);
+}
+
+TEST(ParallelEvalTest, SmallRoundsReadingDerivedPredicatesFork) {
+  // Non-linear recursion reads `path` outside the delta window, so a
+  // round cannot insert straight into the database while it runs: even
+  // rounds far below the fork floor run as buffered tasks against the
+  // frozen database, and still reach the sequential fixpoint.
+  std::string src = TcProgram(24);
+  src += "path(X, Z) :- path(X, Y), path(Y, Z).\n";
+  auto seq = RunProgram(src);
+  EvalOptions par;
+  par.threads = 4;
+  par.reorder = false;
+  auto p4 = RunProgram(src, LanguageMode::kLDL, par);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
+  ExpectSameRelation(seq.get(), p4.get(), "path", 2);
 }
 
 TEST(ParallelEvalTest, ThreadsOneBitIdenticalToDefault) {
@@ -359,14 +383,17 @@ TEST(ParallelEvalTest, ZeroThreadsResolvesToHardwareConcurrency) {
 
 TEST(ParallelEvalTest, MixedSafeAndUnsafeRulesAgree) {
   // The builtin rule (add / lt) is not parallel-safe and must keep
-  // running on the coordinator while the TC rule is sharded.
-  std::string src = TcProgram(20);
+  // running on the coordinator while the TC rule is sharded (legacy
+  // plans on a long chain, so rounds pass the fork floor).
+  std::string src = TcProgram(320);
   src += "num(0).\n";
   src += "num(Y) :- num(X), lt(X, 15), add(X, 1, Y).\n";
   auto seq = RunProgram(src);
   EvalOptions par;
   par.threads = 4;
+  par.reorder = false;
   auto p4 = RunProgram(src, LanguageMode::kLDL, par);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
   ExpectSameRelation(seq.get(), p4.get(), "path", 2);
   ExpectSameRelation(seq.get(), p4.get(), "num", 1);
   EXPECT_TRUE(*p4->HoldsText("num(15)"));
@@ -375,21 +402,40 @@ TEST(ParallelEvalTest, MixedSafeAndUnsafeRulesAgree) {
 
 TEST(ParallelEvalTest, StratifiedNegationInShardedRule) {
   // The recursive rule carries a negated check against a lower-stratum
-  // predicate, which workers evaluate against the frozen relation.
+  // predicate, which workers evaluate against the frozen relation. A
+  // second, larger component (a chain with skip edges and its own
+  // blocked nodes) makes the rounds' deltas pass the fork floor.
   std::string src;
   for (int i = 0; i < 24; ++i) {
     src += "edge(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
            ").\n";
   }
   src += "blocked(n7). blocked(n15).\n";
+  for (int i = 0; i < 320; ++i) {
+    src += "edge(m" + std::to_string(i) + ", m" + std::to_string(i + 1) +
+           ").\n";
+    if (i % 3 == 0) {
+      src += "edge(m" + std::to_string(i) + ", m" + std::to_string(i + 3) +
+             ").\n";
+    }
+    if (i % 100 == 50) src += "blocked(m" + std::to_string(i) + ").\n";
+  }
   src += "reach(X, Y) :- edge(X, Y).\n";
   src +=
       "reach(X, Z) :- reach(X, Y), edge(Y, Z), not blocked(Z).\n";
-  auto seq = RunProgram(src, LanguageMode::kLPS);
+  EvalOptions seq_opts;
+  seq_opts.reorder = false;
+  auto seq = RunProgram(src, LanguageMode::kLPS, seq_opts);
   EvalOptions par;
   par.threads = 4;
+  par.reorder = false;
   auto p4 = RunProgram(src, LanguageMode::kLPS, par);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
   ExpectSameRelation(seq.get(), p4.get(), "reach", 2);
+  // Skip edges jump over a blocked node, but no walk may end on one.
+  EXPECT_FALSE(*p4->HoldsText("reach(m0, m50)"));
+  EXPECT_TRUE(*p4->HoldsText("reach(m49, m50)"));
+  EXPECT_TRUE(*p4->HoldsText("reach(m0, m149)"));
   EXPECT_TRUE(*p4->HoldsText("reach(n0, n6)"));
   // The walk may not enter a blocked node, so nothing past n7 is
   // reachable from n0 (except the single base edge into n7).
@@ -403,12 +449,15 @@ TEST(ParallelEvalTest, GroundSetArgumentsShardAcrossThreads) {
   // Ground set constants are interned ids, so rules carrying them stay
   // in the flat fragment: the set-carrying EDB scan and the recursive
   // propagation of a set-valued column both shard across lanes.
+  // The chain is long enough for a round's delta to pass the fork
+  // floor (smaller deltas run inline on the coordinator).
+  constexpr int kNodes = 320;
   std::string src = "pred sedge(atom, atom, set).\n";
-  for (int i = 0; i < 48; ++i) {
+  for (int i = 0; i < kNodes; ++i) {
     src += "sedge(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
            ", {a, b}).\n";
   }
-  for (int i = 0; i + 3 < 48; i += 3) {
+  for (int i = 0; i + 3 < kNodes; i += 3) {
     src += "sedge(n" + std::to_string(i) + ", n" + std::to_string(i + 3) +
            ", {a, b}).\n";
   }
@@ -439,8 +488,9 @@ TEST(ParallelEvalTest, QuantifiedAndGroupingRulesRideAlong) {
   // Quantified division and set-valued EDB facts are not
   // parallel-safe; with threads=4 they must run on the coordinator and
   // still agree with sequential evaluation while the TC rules shard
-  // (the flat grouping rule shards its body scan too).
-  std::string src = TcProgram(20);
+  // (the flat grouping rule, with enough employees to pass the chunking
+  // floor, shards its body scan too).
+  std::string src = TcProgram(320);
   src += R"(
     s({a, b}). s({b}). s({}).
     q(a). q(b).
@@ -448,10 +498,16 @@ TEST(ParallelEvalTest, QuantifiedAndGroupingRulesRideAlong) {
     emp(sales, ann). emp(sales, bob). emp(dev, carol).
     team(D, <E>) :- emp(D, E).
   )";
+  for (int i = 0; i < 60; ++i) {
+    src += "emp(d" + std::to_string(i % 7) + ", e" + std::to_string(i) +
+           ").\n";
+  }
   auto seq = RunProgram(src);
   EvalOptions par;
   par.threads = 4;
+  par.reorder = false;
   auto p4 = RunProgram(src, LanguageMode::kLDL, par);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
   ExpectSameRelation(seq.get(), p4.get(), "path", 2);
   ExpectSameRelation(seq.get(), p4.get(), "allq", 1);
   ExpectSameRelation(seq.get(), p4.get(), "team", 2);
@@ -460,25 +516,34 @@ TEST(ParallelEvalTest, QuantifiedAndGroupingRulesRideAlong) {
 }
 
 TEST(ParallelEvalTest, DuplicateDerivationsDoNotTripMaxTuples) {
-  // On a complete graph every path tuple is derivable through many
-  // intermediate nodes; the per-task buffers must count distinct
-  // tuples (like the sequential AddTuple path), not join multiplicity.
+  // Eight layers of 16 nodes, each layer fully linked to the next:
+  // every path between layers i < j is derivable through 16
+  // intermediate nodes, and the first rounds' deltas pass the fork
+  // floor.
+  // The per-task buffers must count distinct tuples (like the
+  // sequential AddTuple path), not join multiplicity.
+  constexpr int kLayers = 8, kWidth = 16;
   std::string src;
-  for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      if (i == j) continue;
-      src += "edge(n" + std::to_string(i) + ", n" + std::to_string(j) +
-             ").\n";
+  for (int l = 0; l + 1 < kLayers; ++l) {
+    for (int i = 0; i < kWidth; ++i) {
+      for (int j = 0; j < kWidth; ++j) {
+        src += "edge(n" + std::to_string(l) + "_" + std::to_string(i) +
+               ", n" + std::to_string(l + 1) + "_" + std::to_string(j) +
+               ").\n";
+      }
     }
   }
   src += "path(X, Y) :- edge(X, Y).\n";
   src += "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  // 1,792 edges + 28 layer pairs x 256 paths = 8,960 distinct tuples.
   EvalOptions opts;
   opts.threads = 4;
-  opts.max_tuples = 150;  // 56 edges + 64 paths = 120 distinct tuples
+  opts.reorder = false;
+  opts.max_tuples = 9000;
   auto par = RunProgram(src, LanguageMode::kLDL, opts);
+  EXPECT_GT(par->eval_stats().parallel_tasks, 0u);
   EvalOptions seq;
-  seq.max_tuples = 150;
+  seq.max_tuples = 9000;
   auto ref = RunProgram(src, LanguageMode::kLDL, seq);
   EXPECT_EQ(par->eval_stats().tuples_derived,
             ref->eval_stats().tuples_derived);
@@ -572,6 +637,7 @@ TEST(ParallelGroupingTest, JoinBodyGroupingAgreesAcrossLanes) {
   EvalOptions par;
   par.threads = 4;
   auto p4 = RunProgram(src, LanguageMode::kLDL, par);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
   ExpectSameRelation(seq.get(), p4.get(), "fof", 2);
   EXPECT_EQ(seq->database()->ToString(*seq->signature()),
             p4->database()->ToString(*p4->signature()));
@@ -593,6 +659,7 @@ TEST(ParallelGroupingTest, NegationAndQuantifierRideAlong) {
   EvalOptions par;
   par.threads = 4;
   auto p4 = RunProgram(src, LanguageMode::kLDL, par);
+  EXPECT_GT(p4->eval_stats().parallel_tasks, 0u);
   ExpectSameRelation(seq.get(), p4.get(), "loud", 2);
   ExpectSameRelation(seq.get(), p4.get(), "approved", 2);
   EXPECT_EQ(seq->database()->ToString(*seq->signature()),
@@ -611,12 +678,37 @@ TEST(ParallelGroupingTest, GroupedSetValuedKeysAndStats) {
   EvalOptions opts;
   opts.threads = 2;
   auto e = RunProgram(src, LanguageMode::kLDL, opts);
+  EXPECT_GT(e->eval_stats().parallel_tasks, 0u);
   EXPECT_EQ(e->eval_stats().groups_emitted, 2u);
   EXPECT_EQ(e->eval_stats().group_elements, 48u);
   EXPECT_GT(e->eval_stats().set_interns, 0u);
   auto seq = RunProgram(src);
   EXPECT_EQ(seq->database()->ToString(*seq->signature()),
             e->database()->ToString(*e->signature()));
+}
+
+TEST(ParallelGroupingTest, KeyWidthsAndOddLaneCountsMatchSequential) {
+  // Lanes accumulate the groups whose keys hash to them and the
+  // coordinator emits them in first-witness order: two-column keys, a
+  // key-less group and a lane count that is not a power of two must
+  // all reproduce the single-lane database byte for byte.
+  std::string src = FollowerProgram(50, 500);
+  src += "pairs(U, F, <G>) :- follows(F, U), follows(G, F).\n";
+  src += "everyone(<F>) :- follows(F, U).\n";
+  auto seq = RunProgram(src);
+  for (size_t threads : {size_t{3}, size_t{4}}) {
+    EvalOptions par;
+    par.threads = threads;
+    auto p = RunProgram(src, LanguageMode::kLDL, par);
+    EXPECT_GT(p->eval_stats().parallel_tasks, 0u) << "threads=" << threads;
+    EXPECT_EQ(p->eval_stats().groups_emitted,
+              seq->eval_stats().groups_emitted);
+    EXPECT_EQ(p->eval_stats().group_elements,
+              seq->eval_stats().group_elements);
+    EXPECT_EQ(seq->database()->ToString(*seq->signature()),
+              p->database()->ToString(*p->signature()))
+        << "threads=" << threads;
+  }
 }
 
 TEST(ParallelGroupingTest, MaxTuplesEnforcedInsideGroupedEmission) {

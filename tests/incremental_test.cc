@@ -416,5 +416,77 @@ TEST(IncrementalTest, DriftChurnCompactsTombstones) {
   EXPECT_GT(compactions, 0u);
 }
 
+// Active-domain terms are registered only when a row is freshly
+// appended (Database::AddTupleEx): a duplicate's or a revived row's
+// terms were registered when that row was first appended, and domains
+// are append-only. A program with kEnumAtom / kEnumSet steps reads the
+// domains directly, so evaluating it over a database whose EDB rows
+// went through insert, duplicate insert, retract, revive and
+// compaction must reproduce a from-scratch evaluation - domains
+// included, in registration order.
+TEST(ActiveDomainTest, EnumerationAfterReviveAndCompactionMatchesScratch) {
+  Session s(LanguageMode::kLPS);
+  ASSERT_OK(s.Load(R"(
+    q(a). q(b). r({a, c}). r({d}). r({}).
+    nq(X) :- not q(X).
+    allq(S) :- forall E in S : q(E).
+  )"));
+  ASSERT_OK(s.Compile());
+  const Program& program = *s.program();
+  const Signature& sig = program.signature();
+  bool has_atom_enum = false, has_set_enum = false;
+  for (const Clause& c : program.clauses()) {
+    auto plan = BuildRulePlan(*s.store(), sig, c);
+    ASSERT_OK(plan.status());
+    for (const BodyPlan* bp : {&plan->free_plan, &plan->empty_branch_plan}) {
+      for (const PlanStep& st : bp->steps) {
+        has_atom_enum |= st.kind == StepKind::kEnumAtom;
+        has_set_enum |= st.kind == StepKind::kEnumSet;
+      }
+    }
+  }
+  ASSERT_TRUE(has_atom_enum);
+  ASSERT_TRUE(has_set_enum);
+
+  Database scratch(s.store(), &sig);
+  ASSERT_OK(EvaluateProgram(program, &scratch).status());
+
+  Database churned(s.store(), &sig);
+  const FactLedger& facts = program.facts();
+  auto erase = [&](const Literal& f) {
+    RowId r = churned.FindRow(f.pred, f.args);
+    ASSERT_NE(r, Relation::kNoRow);
+    ASSERT_TRUE(churned.EraseRow(f.pred, r));
+  };
+  for (const Literal& f : facts) EXPECT_TRUE(churned.AddTuple(f.pred, f.args));
+  for (const Literal& f : facts) {
+    EXPECT_FALSE(churned.AddTuple(f.pred, f.args));  // duplicate
+  }
+  for (const Literal& f : facts) erase(f);
+  for (const Literal& f : facts) {  // revive every row in place
+    Relation::InsertOutcome out = churned.AddTupleEx(f.pred, f.args);
+    EXPECT_TRUE(out.added && out.revived);
+  }
+  for (const Literal& f : facts) erase(f);
+  EXPECT_GT(churned.CompactTombstones(), 0u);  // every relation emptied
+  EXPECT_EQ(churned.TupleCount(), 0u);
+  for (const Literal& f : facts) {  // fresh appends after compaction
+    Relation::InsertOutcome out = churned.AddTupleEx(f.pred, f.args);
+    EXPECT_TRUE(out.added && !out.revived);
+  }
+  erase(facts[0]);  // evaluation re-adds it: one more revive
+  ASSERT_OK(EvaluateProgram(program, &churned).status());
+
+  EXPECT_EQ(churned.ToCanonicalString(sig), scratch.ToCanonicalString(sig));
+  EXPECT_EQ(churned.atom_domain(), scratch.atom_domain());
+  EXPECT_EQ(churned.set_domain(), scratch.set_domain());
+  PredicateId nq = sig.Lookup("nq", 1);
+  PredicateId allq = sig.Lookup("allq", 1);
+  ASSERT_NE(nq, kInvalidPredicate);
+  ASSERT_NE(allq, kInvalidPredicate);
+  EXPECT_TRUE(churned.Contains(nq, {s.store()->MakeConstant("c")}));
+  EXPECT_TRUE(churned.Contains(allq, {s.store()->EmptySet()}));
+}
+
 }  // namespace
 }  // namespace lps

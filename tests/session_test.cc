@@ -466,9 +466,10 @@ TEST(OptionsTest, LimitsFlowThroughSession) {
 
 TEST(OptionsTest, ThreadsFlowThroughSession) {
   // The same program evaluated sequentially and with four lanes must
-  // agree; the stats witness that the parallel path actually ran.
+  // agree; the stats witness that the parallel path actually ran (the
+  // chain is long enough for a round's delta to pass the fork floor).
   std::string src;
-  for (int i = 0; i < 32; ++i) {
+  for (int i = 0; i < 64; ++i) {
     src += "edge(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
            ").\n";
   }
