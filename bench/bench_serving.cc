@@ -1,21 +1,16 @@
 // Concurrent query serving QPS over a frozen snapshot.
 //
-// BM_ServeThreads/N runs a fixed batch of path(n_i, Y) point queries
-// through an N-lane serve::QueryServer against one published snapshot
-// frozen unevaluated (FreezeOptions::evaluate = false), so every
-// request takes the demand (magic-set) route into a private result
-// database: the lanes share nothing but the immutable snapshot and the
-// batch should scale near-linearly. The CI gate
-// (scripts/check_bench.py --min-ratio) requires the 4-lane batch to be
-// >= 2x faster than the 1-lane batch, i.e. >= 2x QPS at 4 threads.
-//
-// BM_ServeProbeThreads/N serves the same batch from a converged
-// snapshot: every request is an indexed probe (the probe route) through
-// one server side index built before the first batch fans out. Probes
-// cost microseconds, so the batch is larger and its 1 -> 4-lane floor
-// is its own. BM_ServeProbePoint times one probe request at a time;
-// CI puts an absolute ceiling on it, which a fall back to the demand
-// route would break by orders of magnitude.
+// Every snapshot is converged, so a bound point query is an indexed
+// probe of the materialized relation (the probe route).
+// BM_ServeProbeThreads/N runs a fixed batch of path(n_i, Y) point
+// queries through an N-lane serve::QueryServer against one published
+// snapshot; every request probes through one server side index built
+// before the first batch fans out. The lanes share nothing but the
+// immutable snapshot. The CI gate (scripts/check_bench.py --min-ratio)
+// requires the 4-lane batch to be >= 1.8x faster than the 1-lane
+// batch. BM_ServeProbePoint times one probe request at a time; CI puts
+// an absolute ceiling on it, which any per-request re-derivation would
+// break by orders of magnitude.
 //
 // Before measuring, the bench verifies byte-identical answers: the
 // rendered rows of a 1-lane and a 4-lane server must agree request by
@@ -39,7 +34,6 @@ namespace lps::bench {
 namespace {
 
 constexpr int kNodes = 96;
-constexpr int kBatchReps = 4;  // requests per iteration = reps * nodes
 
 std::string TcSource(int n) {
   return RandomGraph(n, 2 * n, 99) + TransitiveClosureRules();
@@ -126,19 +120,13 @@ void VerifyServingEquivalence(Session* session,
   }
 }
 
-// Publishes a snapshot of a TcSource(kNodes) session: converged
-// (Freeze evaluates) or unevaluated (the demand route's snapshots).
-std::unique_ptr<Session> PublishTc(serve::SnapshotRegistry* registry,
-                                   bool converged) {
+// Publishes a snapshot of a TcSource(kNodes) session (Freeze brings
+// it to fixpoint; the session then answers the ground truth).
+std::unique_ptr<Session> PublishTc(serve::SnapshotRegistry* registry) {
   auto session = MustLoad(TcSource(kNodes));
-  serve::FreezeOptions opts;
-  opts.evaluate = converged;
-  auto snap = session->Freeze(opts);
-  if (!snap.ok() || (*snap)->converged() != converged) std::abort();
+  auto snap = session->Freeze();
+  if (!snap.ok()) std::abort();
   registry->Publish(*snap);
-  // The session itself answers the ground truth (Session::Query reads
-  // its database), so it is evaluated either way.
-  if (!converged) MustEvaluate(session.get());
   return session;
 }
 
@@ -154,46 +142,12 @@ void ExpectRoute(const serve::QueryServer& server, serve::ServeRoute route) {
   }
 }
 
-void BM_ServeThreads(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  serve::SnapshotRegistry registry;
-  auto session = PublishTc(&registry, /*converged=*/false);
-  VerifyServingEquivalence(session.get(), &registry);
-
-  serve::ServeOptions opts;
-  opts.threads = threads;
-  opts.record_answers = false;  // count + checksum only while timing
-  serve::QueryServer server(&registry, opts);
-  std::vector<serve::ServeRequest> batch =
-      PointBatch(MustPrepareServe(&server, "path(X, Y)"), kNodes,
-                 kBatchReps);
-
-  size_t answers = 0;
-  for (auto _ : state) {
-    std::vector<serve::ServeAnswer> out = MustExecute(&server, batch);
-    answers = 0;
-    for (const serve::ServeAnswer& a : out) answers += a.count;
-    benchmark::DoNotOptimize(answers);
-  }
-  ExpectRoute(server, serve::ServeRoute::kDemand);
-  // Only deterministic counters: the baseline compare in
-  // scripts/check_bench.py is absolute, so machine-dependent rates
-  // (QPS, latency percentiles) stay out of the JSON. The QPS floor is
-  // the real_time min-ratio between /1 and /4 instead.
-  serve::ServeStats stats = server.stats();
-  state.counters["answers"] = static_cast<double>(answers);
-  state.counters["rewrites_built"] =
-      static_cast<double>(stats.rewrites_built);
-}
-BENCHMARK(BM_ServeThreads)->Arg(1)->Arg(2)->Arg(4)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-constexpr int kProbeBatchReps = 64;  // probes are ~1000x cheaper
+constexpr int kProbeBatchReps = 64;  // requests per iteration = reps * nodes
 
 void BM_ServeProbeThreads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   serve::SnapshotRegistry registry;
-  auto session = PublishTc(&registry, /*converged=*/true);
+  auto session = PublishTc(&registry);
   VerifyServingEquivalence(session.get(), &registry);
 
   serve::ServeOptions opts;
@@ -222,7 +176,7 @@ BENCHMARK(BM_ServeProbeThreads)->Arg(1)->Arg(2)->Arg(4)
 
 void BM_ServeProbePoint(benchmark::State& state) {
   serve::SnapshotRegistry registry;
-  auto session = PublishTc(&registry, /*converged=*/true);
+  auto session = PublishTc(&registry);
   serve::ServeOptions opts;
   opts.threads = 1;
   opts.record_answers = false;
@@ -369,19 +323,15 @@ void VerifyRepublishEquivalence(Session* session) {
   }
   const serve::CowStats& cow = (*inc)->cow_stats();
   // Churn touches edge0 and path0; every other shard's two relations
-  // must be physically shared, no new term was interned, and the
-  // churn (tail-resident fact adds) left every sealed EDB fact chunk
-  // aliased from the base snapshot.
+  // must be physically shared, and no new term was interned.
   const size_t min_shared = 2 * (kShards - 1);
   if (cow.relations_shared < min_shared || !cow.store_shared ||
-      cow.bytes_shared == 0 || cow.fact_chunks_shared == 0) {
+      cow.bytes_shared == 0) {
     std::fprintf(stderr,
                  "bench_serving: expected COW sharing witnesses "
-                 "(shared %zu < %zu, store_shared %d, "
-                 "fact_chunks_shared %zu)\n",
+                 "(shared %zu < %zu, store_shared %d)\n",
                  cow.relations_shared, min_shared,
-                 static_cast<int>(cow.store_shared),
-                 cow.fact_chunks_shared);
+                 static_cast<int>(cow.store_shared));
     std::abort();
   }
   // Undo the referee's churn so both benchmarks start from the base

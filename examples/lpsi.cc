@@ -116,14 +116,11 @@ void PrintServeStats(const lps::serve::ServeStats& s) {
   std::printf("  batches           %llu\n", u64(s.batches));
   std::printf("  queries           %llu\n", u64(s.queries));
   std::printf("  probe_queries     %llu\n", u64(s.probe_queries));
-  std::printf("  demand_queries    %llu\n", u64(s.demand_queries));
   std::printf("  scan_queries      %llu\n", u64(s.scan_queries));
   std::printf("  builtin_queries   %llu\n", u64(s.builtin_queries));
   std::printf("  empty_fast_path   %llu\n", u64(s.empty_fast_path));
   std::printf("  answers           %llu\n", u64(s.answers));
   std::printf("  errors            %llu\n", u64(s.errors));
-  std::printf("  rewrites_built    %llu\n", u64(s.rewrites_built));
-  std::printf("  rewrite_cache_hits %llu\n", u64(s.rewrite_cache_hits));
   std::printf("  index_misses      %llu\n", u64(s.index_misses));
   std::printf("  side_index_builds %llu\n", u64(s.side_index_builds));
   std::printf("  worker_rebinds    %llu\n", u64(s.worker_rebinds));
@@ -161,9 +158,9 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   const lps::serve::CowStats& cow = (*snap)->cow_stats();
   std::printf(
       "%% snapshot: %zu relations shared, %zu cloned, %zu bytes shared, "
-      "%zu fact chunks shared, store %s\n",
+      "store %s\n",
       cow.relations_shared, cow.relations_cloned, cow.bytes_shared,
-      cow.fact_chunks_shared, cow.store_shared ? "shared" : "cloned");
+      cow.store_shared ? "shared" : "cloned");
   registry->Publish(*snap);
   lps::serve::ServeOptions opts;
   opts.threads = threads;
@@ -202,14 +199,11 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   total->batches += s.batches;
   total->queries += s.queries;
   total->probe_queries += s.probe_queries;
-  total->demand_queries += s.demand_queries;
   total->scan_queries += s.scan_queries;
   total->builtin_queries += s.builtin_queries;
   total->empty_fast_path += s.empty_fast_path;
   total->answers += s.answers;
   total->errors += s.errors;
-  total->rewrites_built += s.rewrites_built;
-  total->rewrite_cache_hits += s.rewrite_cache_hits;
   total->index_misses += s.index_misses;
   total->side_index_builds += s.side_index_builds;
   total->worker_rebinds += s.worker_rebinds;

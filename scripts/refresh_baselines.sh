@@ -44,7 +44,7 @@ run bench_storage BENCH_storage.json \
   --benchmark_min_time=0.01 --benchmark_format=json
 run bench_magic BENCH_magic.json "${REPS_FLAGS[@]}"
 run bench_grouping BENCH_grouping.json "${REPS_FLAGS[@]}"
-# Both serving routes (BM_ServeThreads: demand, BM_ServeProbe*: probe).
+# The probe route (BM_ServeProbe*) and copy-on-write republication.
 run bench_serving BENCH_serving.json "${REPS_FLAGS[@]}"
 # Includes BM_ChurnDrift: 2,000 drift commits per repetition (~10s).
 run bench_incremental BENCH_incremental.json "${REPS_FLAGS[@]}"

@@ -30,6 +30,11 @@ constexpr size_t kMinChunkTuples = 16;
 // many minimum-size chunks forks; a smaller one runs inline when that
 // is exact (see RunParallelDeltaPhase).
 constexpr size_t kMinForkChunks = 16;
+// Most chunks one sharded job (a delta range or a grouping body scan)
+// splits into. Fixed rather than scaled by the lane count, so the
+// chunking - and with it the merged insertion order - is the same at
+// every lane count.
+constexpr size_t kMaxJobChunks = 16;
 
 // One lane's share of a sharded grouping rule's groups - those whose
 // key hashes to the lane - accumulated in stream order, with each
@@ -65,8 +70,19 @@ Status BottomUpEvaluator::Evaluate() {
   const size_t set_interns_before = store.set_interns();
   const size_t set_intern_hits_before = store.set_intern_hits();
 
-  // Load EDB facts.
-  for (const Literal& f : program_->facts()) {
+  // Load EDB facts. A relation that is still empty is presized from
+  // its fact count first, so its dedup table does not double its way
+  // up; one that already holds rows (re-evaluating a converged
+  // session) is left as it is.
+  const FactLedger& facts = program_->facts();
+  std::vector<size_t> fact_counts(sig.size(), 0);
+  for (const Literal& f : facts) ++fact_counts[f.pred];
+  for (PredicateId p = 0; p < fact_counts.size(); ++p) {
+    if (fact_counts[p] != 0 && db_->RelationSize(p) == 0) {
+      db_->Reserve(p, fact_counts[p]);
+    }
+  }
+  for (const Literal& f : facts) {
     if (db_->AddTuple(f.pred, f.args)) ++stats_.tuples_derived;
   }
 
@@ -201,17 +217,6 @@ Status BottomUpEvaluator::CompileRules(bool witness_plans) {
   return Status::OK();
 }
 
-Status BottomUpEvaluator::CheckDeadline(uint32_t* tick) const {
-  if (options_.deadline == std::chrono::steady_clock::time_point{}) {
-    return Status::OK();
-  }
-  if ((++*tick & 1023u) != 0) return Status::OK();
-  if (std::chrono::steady_clock::now() >= options_.deadline) {
-    return Status::DeadlineExceeded("evaluation deadline exceeded");
-  }
-  return Status::OK();
-}
-
 Status BottomUpEvaluator::EvaluateStratum(
     const std::vector<size_t>& clause_indices, const Stratification& strat,
     size_t stratum) {
@@ -256,13 +261,6 @@ Status BottomUpEvaluator::EvaluateStratum(
   for (;;) {
     if (++stats_.iterations > options_.max_iterations) {
       return Status::ResourceExhausted("iteration limit exceeded");
-    }
-    // Unconditional clock read per iteration: iterations are coarse
-    // enough that the step-granular countdown (CheckDeadline) could
-    // wrap many rows before firing on pathologically wide deltas.
-    if (options_.deadline != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() >= options_.deadline) {
-      return Status::DeadlineExceeded("evaluation deadline exceeded");
     }
     uint64_t version_before = db_->version();
 
@@ -645,7 +643,7 @@ Result<bool> BottomUpEvaluator::RunGroupingParallel(CompiledRule* rule) {
   EnsureScanIndexes(*rule);
 
   size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
-  chunks = std::min(chunks, pool_->size() * 4);
+  chunks = std::min(chunks, kMaxJobChunks);
   std::vector<DeltaSpec> specs;
   specs.reserve(chunks);
   size_t base = len / chunks, rem = len % chunks;
@@ -790,13 +788,13 @@ Status BottomUpEvaluator::RunParallelDeltaPhase(
 
   // Shard each job into chunks, merged back in task order. A chunk's
   // derivations depend only on its own row range, so the merged
-  // database is a deterministic function of the chunking (which
-  // depends on the lane count, not on scheduling).
+  // database is a deterministic function of the chunking, which
+  // depends on neither the lane count nor scheduling.
   std::vector<ParallelTask> tasks;
   for (const ParallelTask& job : jobs) {
     size_t begin = job.spec.begin, len = job.spec.end - begin;
     size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
-    chunks = std::min(chunks, pool_->size() * 4);
+    chunks = std::min(chunks, kMaxJobChunks);
     size_t base = len / chunks, rem = len % chunks;
     size_t at = begin;
     for (size_t c = 0; c < chunks; ++c) {
@@ -912,7 +910,6 @@ void BottomUpEvaluator::BindFrom(const CompiledRule& rule,
 Status BottomUpEvaluator::Exec(const CompiledRule& rule,
                                const ExecPlan& plan, size_t i,
                                ExecCtx* ctx) {
-  LPS_RETURN_IF_ERROR(CheckDeadline(&ctx->deadline_tick));
   if (i == plan.steps.size()) {
     switch (plan.end) {
       case PlanEnd::kTail:

@@ -16,7 +16,6 @@
 #ifndef LPS_EVAL_BOTTOMUP_H_
 #define LPS_EVAL_BOTTOMUP_H_
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -50,15 +49,6 @@ struct EvalOptions {
   /// taken at rule-compile time. Off = the boundness-heuristic source
   /// order, byte-exact legacy plans (the debugging escape hatch).
   bool reorder = true;
-  /// Cooperative evaluation deadline (steady clock); the default
-  /// (epoch, i.e. time_point{}) means no deadline. Checked once per
-  /// fixpoint iteration and every ~1k join steps, so evaluation
-  /// returns a typed kDeadlineExceeded within a bounded overshoot
-  /// instead of running to fixpoint. Set by the serve-path admission
-  /// control (serve/server.h); deliberately NOT mirrored through
-  /// api::Options - sessions own their evaluations, only the server
-  /// imposes per-request budgets.
-  std::chrono::steady_clock::time_point deadline{};
   BuiltinOptions builtins;
 };
 
@@ -306,9 +296,6 @@ class BottomUpEvaluator {
     size_t q_mark = 0;             // trail mark before seeding
     std::vector<std::pair<uint32_t, TermId>> saved_trail;
     std::vector<TermId> saved_vals;
-    // Cooperative deadline countdown (CheckDeadline), per context so
-    // lanes never share it.
-    uint32_t deadline_tick = 0;
 
     void Bind(uint32_t s, TermId v) {
       trail.emplace_back(s, slots[s]);
@@ -440,13 +427,6 @@ class BottomUpEvaluator {
   Status BuildHead(const CompiledRule& rule, ExecCtx* ctx) const;
   /// True if ground body literal `li` holds (user relation or builtin).
   Result<bool> Holds(const CompiledRule& rule, size_t li, ExecCtx* ctx);
-
-  /// Cooperative deadline probe: reads the clock only on every 1024th
-  /// call (counted through *tick, which the caller owns - one per
-  /// ExecCtx), so the per-step cost is one branch and an increment.
-  /// Returns kDeadlineExceeded once options_.deadline has passed, OK
-  /// before (and always OK when no deadline is set).
-  Status CheckDeadline(uint32_t* tick) const;
 
   const Program* program_;
   Database* db_;

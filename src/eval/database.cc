@@ -86,15 +86,6 @@ RowId Database::FindRow(PredicateId pred, TupleRef t) const {
   return rel == nullptr ? Relation::kNoRow : rel->Find(t);
 }
 
-bool Database::EraseTuple(PredicateId pred, TupleRef t) {
-  Relation* rel = MutableRelation(pred);
-  if (rel == nullptr) return false;
-  RowId r = rel->Find(t);
-  if (r == Relation::kNoRow || !rel->EraseRow(r)) return false;
-  ++version_;
-  return true;
-}
-
 bool Database::EraseRow(PredicateId pred, RowId r) {
   Relation* rel = MutableRelation(pred);
   if (rel == nullptr || !rel->EraseRow(r)) return false;

@@ -129,13 +129,10 @@ class Database {
   /// RowId of the live row storing `t`, or Relation::kNoRow.
   RowId FindRow(PredicateId pred, TupleRef t) const;
 
-  /// Tombstones the live row storing `t` (Relation::EraseRow). Active
+  /// Tombstones row r of pred's relation (Relation::EraseRow). Active
   /// domains are append-only and keep any terms the row contributed -
   /// harmless for the incremental fragment, which never enumerates
-  /// domains (see DESIGN.md section 16). Returns false if absent.
-  bool EraseTuple(PredicateId pred, TupleRef t);
-
-  /// Tombstones row r of pred's relation (Relation::EraseRow).
+  /// domains (see DESIGN.md section 16).
   bool EraseRow(PredicateId pred, RowId r);
 
   /// Un-tombstones row r of pred's relation (Relation::Revive).

@@ -1,11 +1,12 @@
 // A chunked, structurally shared container for a program's ground
 // facts (the EDB). Copying a FactLedger shares the sealed chunks by
-// shared_ptr and deep-copies only the small open tail, so cloning a
-// program for a serve::Snapshot costs O(churn since the last seal)
-// instead of O(EDB). Sealed chunks are immutable: every mutation
-// either touches the tail or replaces a chunk with a rebuilt copy,
-// never writes through a shared pointer - which is what makes
-// concurrent readers over a frozen copy safe without locks.
+// shared_ptr and deep-copies only the small open tail, so the
+// transactional candidate copy Session::Compile stages every program
+// change on costs O(chunks + tail) instead of O(EDB). Sealed chunks
+// are immutable: every mutation either touches the tail or replaces a
+// chunk with a rebuilt copy, never writes through a shared pointer -
+// which is what keeps a rejected candidate from disturbing the
+// program it was copied from.
 #ifndef LPS_LANG_FACT_LEDGER_H_
 #define LPS_LANG_FACT_LEDGER_H_
 

@@ -1,7 +1,5 @@
 #include "lang/program.h"
 
-#include <algorithm>
-
 namespace lps {
 
 Status Program::AddFact(PredicateId pred, std::vector<TermId> args) {
@@ -30,18 +28,6 @@ void Program::RemoveFactsAt(const std::vector<size_t>& sorted_indices) {
 bool Program::RemoveFact(PredicateId pred,
                          const std::vector<TermId>& args) {
   return facts_.RemoveFirst(pred, args);
-}
-
-std::vector<PredicateId> Program::DefinedPredicates() const {
-  std::vector<PredicateId> out;
-  auto add = [&out](PredicateId p) {
-    if (std::find(out.begin(), out.end(), p) == out.end()) {
-      out.push_back(p);
-    }
-  };
-  for (const Clause& c : *clauses_) add(c.head.pred);
-  for (const Literal& f : facts_) add(f.pred);
-  return out;
 }
 
 std::string Program::ToString() const {

@@ -60,24 +60,23 @@ class Program {
   /// O(k * facts) tuple compares.
   void RemoveFactsAt(const std::vector<size_t>& sorted_indices);
 
-  /// All predicates appearing in some clause head or fact (the IDB plus
-  /// EDB predicates with facts).
-  std::vector<PredicateId> DefinedPredicates() const;
-
   /// Renders the whole program, one clause per line.
   std::string ToString() const;
 
-  /// A copy re-bound to `store`, which must resolve every TermId and
-  /// Symbol this program references to the same term/name - i.e. be a
+  /// A copy of the rules and signature, without the fact list,
+  /// re-bound to `store`, which must resolve every TermId and Symbol
+  /// this program references to the same term/name - i.e. be a
   /// TermStore::Clone() of this program's store (or a clone's clone).
   /// The copy's signature points into `store`'s symbol table, so the
   /// original session can keep interning without the copy observing
   /// anything. This is how a frozen serve::Snapshot and each server
-  /// worker get their isolated program view.
-  Program CloneInto(TermStore* store) const {
-    Program out = *this;
-    out.store_ = store;
+  /// worker get their isolated program view; both read facts from the
+  /// snapshot's converged database, never from a fact list.
+  Program CloneRulesInto(TermStore* store) const {
+    Program out(store);
+    out.signature_ = signature_;
     out.signature_.RebindSymbols(&store->symbols());
+    out.clauses_ = clauses_;
     return out;
   }
 

@@ -152,18 +152,6 @@ Status ValidateClause(const TermStore& store, const Signature& sig,
   return Status::OK();
 }
 
-Status ValidateProgram(const Program& program, LanguageMode mode) {
-  const TermStore& store = *program.store();
-  const Signature& sig = program.signature();
-  for (const Clause& c : program.clauses()) {
-    LPS_RETURN_IF_ERROR(ValidateClause(store, sig, c, mode));
-  }
-  for (const Literal& f : program.facts()) {
-    LPS_RETURN_IF_ERROR(CheckLiteral(store, sig, f, mode));
-  }
-  return Status::OK();
-}
-
 Status ValidateGoal(const TermStore& store, const Signature& sig,
                     const Literal& goal, LanguageMode mode) {
   if (!goal.positive) {

@@ -30,9 +30,6 @@ const char* LanguageModeToString(LanguageMode mode);
 Status ValidateClause(const TermStore& store, const Signature& sig,
                       const Clause& clause, LanguageMode mode);
 
-/// Validates every clause and fact of the program.
-Status ValidateProgram(const Program& program, LanguageMode mode);
-
 /// Validates a single (possibly non-ground) query goal: arity and
 /// argument sorts must match the predicate's declaration and set
 /// nesting must respect the language mode. Goals may name special

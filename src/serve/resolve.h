@@ -11,12 +11,12 @@
 //    (builtins produce only ints and sets; rules only combine existing
 //    terms), so any goal bound to it has a trivially empty answer -
 //    the point-query fast path for EDB-derived predicates;
-//  * a missing int / set / function term could still be *derived* by
-//    the demand evaluation (arithmetic, grouping), so the caller
+//  * a missing int / set / function term could still be *computed* by
+//    a builtin goal (arithmetic, set construction), so the server
 //    interns it into a private scratch store (InternGroundTerm on a
-//    worker's TermStore clone) and evaluates normally. On a pure
-//    relation scan even these misses mean an empty answer: stored
-//    rows only ever contain store-resident ids.
+//    worker's TermStore clone) and runs the builtin. On a relation
+//    read of a converged snapshot even these misses mean an empty
+//    answer: stored rows only ever contain store-resident ids.
 #ifndef LPS_SERVE_RESOLVE_H_
 #define LPS_SERVE_RESOLVE_H_
 
@@ -31,8 +31,8 @@ enum class MissKind : uint8_t {
   kConstant,  // a plain constant in the text was never interned:
               // underivable, the answer is empty on every path
   kOther,     // an int / set / function subterm is absent: empty on a
-              // scan, but a demand evaluation could still derive it -
-              // intern into a scratch store and evaluate
+              // relation read, but a builtin could still compute it -
+              // intern into a scratch store and run the builtin
 };
 
 struct Resolution {

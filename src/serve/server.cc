@@ -8,7 +8,6 @@
 
 #include "api/goal_exec.h"
 #include "base/hash.h"
-#include "eval/bottomup.h"
 #include "lang/validate.h"
 #include "parse/parser.h"
 #include "serve/resolve.h"
@@ -44,14 +43,11 @@ void EmitRow(const TermStore& store, TupleRef t, bool record,
 void MergeCounters(ServeStats* into, const ServeStats& d) {
   into->queries += d.queries;
   into->probe_queries += d.probe_queries;
-  into->demand_queries += d.demand_queries;
   into->scan_queries += d.scan_queries;
   into->builtin_queries += d.builtin_queries;
   into->empty_fast_path += d.empty_fast_path;
   into->errors += d.errors;
   into->answers += d.answers;
-  into->rewrites_built += d.rewrites_built;
-  into->rewrite_cache_hits += d.rewrite_cache_hits;
   into->index_misses += d.index_misses;
   into->worker_rebinds += d.worker_rebinds;
   into->worker_refreshes += d.worker_refreshes;
@@ -75,8 +71,6 @@ const char* ServeRouteName(ServeRoute route) {
       return "probe";
     case ServeRoute::kScan:
       return "scan";
-    case ServeRoute::kDemand:
-      return "demand";
     case ServeRoute::kBuiltin:
       return "builtin";
   }
@@ -96,17 +90,16 @@ void QueryServer::BindWorker(Worker* w, const PinnedSnapshot& pin) {
       w->store_size == snap.store_size() &&
       w->sig_preds == snap.signature().size()) {
     // Fact-only republish: the rules, the frozen term-id prefix and
-    // the predicate table are all unchanged, so the worker's clone,
-    // goal plans and cached magic rewrites stay valid (rewrites carry
-    // no facts; ExecuteOne reads facts from the pinned snapshot). Only
-    // advance the epoch.
+    // the predicate table are all unchanged, so the worker's clone and
+    // goal plans stay valid (ExecuteOne reads every row from the pinned
+    // snapshot). Only advance the epoch.
     w->epoch = pin.epoch();
     ++w->delta.worker_refreshes;
     return;
   }
   w->store = snap.store().Clone();
-  w->program =
-      std::make_unique<Program>(snap.program().CloneInto(w->store.get()));
+  w->program = std::make_unique<Program>(
+      snap.program().CloneRulesInto(w->store.get()));
   w->entries.clear();
   w->epoch = pin.epoch();
   w->rule_epoch = snap.rule_epoch();
@@ -197,9 +190,8 @@ ServeAnswer QueryServer::ExecuteOne(
   }
   const size_t max_tuples =
       req.max_tuples > 0 ? req.max_tuples : options_.default_max_tuples;
-  // Cursor-loop deadline probe: one branch per row, a clock read every
-  // 256th (answer emission is far cheaper than the eval steps behind
-  // it, so the coarser granularity still bounds overshoot tightly).
+  // Scan-loop deadline probe: one branch per row and a clock read every
+  // 256th, so overshoot stays bounded by 256 row emissions.
   uint32_t deadline_tick = 0;
   auto deadline_hit = [&]() -> bool {
     if (deadline == Clock::time_point{}) return false;
@@ -234,12 +226,11 @@ ServeAnswer QueryServer::ExecuteOne(
   struct Param {
     TermId var;
     TermId id;
-    MissKind miss;
     const std::string* text;
   };
   std::vector<Param> params;
   params.reserve(req.params.size());
-  MissKind worst = MissKind::kNone;
+  bool missing = false;  // some parameter term is not in the snapshot
   for (const auto& [name, text] : req.params) {
     TermId var = kInvalidTerm;
     for (TermId v : e.vars) {
@@ -254,39 +245,21 @@ ServeAnswer QueryServer::ExecuteOne(
     }
     Result<Resolution> r = TryResolveGroundTerm(*store, text);
     if (!r.ok()) return fail(r.status());
-    Resolution res = *r;
-    if (res.missing == MissKind::kNone && res.id >= snap.store_size()) {
-      // Interned into this worker's scratch by an earlier request: the
-      // id exists but is younger than the freeze, so it occurs in no
-      // snapshot row. Classified exactly like a fresh miss; the id is
-      // kept so the demand path can bind it without re-interning.
-      res.missing = store->kind(res.id) == TermKind::kConstant
-                        ? MissKind::kConstant
-                        : MissKind::kOther;
-    }
-    if (res.missing == MissKind::kConstant) {
-      worst = MissKind::kConstant;
-    } else if (res.missing == MissKind::kOther &&
-               worst == MissKind::kNone) {
-      worst = MissKind::kOther;
-    }
-    params.push_back({var, res.id, res.missing, &text});
+    // An id at or past store_size() was interned into this worker's
+    // scratch by an earlier request: younger than the freeze, so it
+    // occurs in no snapshot row - a miss like a fresh one. The id is
+    // kept so a builtin goal can bind it without re-interning.
+    missing = missing || r->missing != MissKind::kNone ||
+              r->id >= snap.store_size();
+    params.push_back({var, r->id, &text});
   }
 
   const bool is_builtin = sig.IsBuiltin(e.goal.pred);
-  // A converged snapshot holds the least model: its relations answer
-  // every bound query completely, so only an unevaluated snapshot
-  // needs the per-request magic-set evaluation.
-  const bool demand_route =
-      !is_builtin && !snap.converged() && e.plan.demand_candidate;
-
-  // The empty fast path (serve/resolve.h): a missing plain constant is
-  // underivable - empty on every route; a missing int/set/function
-  // term is empty on a snapshot read, but a demand evaluation could
-  // still derive it, and a builtin could compute it, so those routes
-  // intern into the scratch store and run.
-  if (!is_builtin && (worst == MissKind::kConstant ||
-                      (worst != MissKind::kNone && !demand_route))) {
+  // The empty fast path (serve/resolve.h): the snapshot holds the least
+  // model, so a term it does not contain occurs in no answer of a
+  // relation read. A builtin could still compute it, so builtin goals
+  // intern the term into the scratch store and run.
+  if (!is_builtin && missing) {
     ++w->delta.empty_fast_path;
     out.note = "empty fast path: parameter not in snapshot";
     return finish();
@@ -341,122 +314,31 @@ ServeAnswer QueryServer::ExecuteOne(
   // Read-only stream over the frozen snapshot relation: a probe of
   // the snapshot's own index or of a side index provisioned before the
   // fan-out, else a bounded scan; never a lazy build.
-  auto read = [&](const char* scan_reason) -> ServeAnswer {
-    const Relation* rel = snap.database().FindRelation(e.goal.pred);
-    const MaskIndex* side = nullptr;
-    ++w->delta.scan_queries;
-    if (any_bound && snap.converged()) {
-      ++w->delta.probe_queries;
-      if (rel != nullptr && mask != 0) {
-        side = FindSideIndex(e.goal.pred, mask, *rel);
-      }
-      take_route(ServeRoute::kProbe,
-                 side != nullptr
-                     ? "converged snapshot: probe of a server side index"
-                     : "converged snapshot: probe of a snapshot index");
-    } else {
-      take_route(ServeRoute::kScan, scan_reason);
+  const Relation* rel = snap.database().FindRelation(e.goal.pred);
+  const MaskIndex* side = nullptr;
+  ++w->delta.scan_queries;
+  if (any_bound) {
+    ++w->delta.probe_queries;
+    if (rel != nullptr && mask != 0) {
+      side = FindSideIndex(e.goal.pred, mask, *rel);
     }
-    RelationScanSource src(store, builtins.unify, rel, patterns, side);
-    if (!src.index_hit()) ++w->delta.index_misses;
-    TupleRef t;
-    for (;;) {
-      if (capped()) break;
-      if (deadline_hit()) {
-        out.partial = true;
-        return fail(Status::DeadlineExceeded(
-            "deadline exceeded during snapshot scan"));
-      }
-      Result<bool> more = src.Next(&t);
-      if (!more.ok()) return fail(more.status());
-      if (!*more) break;
-      EmitRow(*store, t, options_.record_answers, &out);
-    }
-    return finish();
-  };
-
-  if (!any_bound) return read("no bound argument: full snapshot scan");
-  if (!demand_route) {
-    return read("unevaluated snapshot, goal not demand-evaluable: "
-                "snapshot scan");
+    take_route(ServeRoute::kProbe,
+               side != nullptr
+                   ? "converged snapshot: probe of a server side index"
+                   : "converged snapshot: probe of a snapshot index");
+  } else {
+    take_route(ServeRoute::kScan, "no bound argument: full snapshot scan");
   }
-
-  // ---- Demand (magic-set) evaluation in a private database -----------
-  // Mirrors PreparedQuery::ExecuteDemand (api/query.cc), with the cache
-  // per (query, mask) in this worker and the fallback a scan of the
-  // (unevaluated) snapshot instead of a session Evaluate().
-  const bool cacheable = e.goal.args.size() <= 32;
-  CachedRewrite uncached;
-  CachedRewrite* entry = nullptr;
-  if (cacheable) {
-    auto it = e.rewrites.find(mask);
-    if (it != e.rewrites.end()) {
-      entry = &it->second;
-      ++w->delta.rewrite_cache_hits;
-    }
-  }
-  if (entry == nullptr) {
-    Result<MagicRewriteResult> rw = MagicRewrite(*w->program, e.goal, bound);
-    if (!rw.ok()) return fail(rw.status());
-    ++w->delta.rewrites_built;
-    CachedRewrite fresh;
-    fresh.fallback_reason = std::move(rw->fallback_reason);
-    if (rw->applied) fresh.rewrite = std::move(rw->rewrite);
-    if (cacheable) {
-      entry = &e.rewrites.emplace(mask, std::move(fresh)).first->second;
-    } else {
-      uncached = std::move(fresh);
-      entry = &uncached;
-    }
-  }
-  if (entry->rewrite == nullptr) {
-    out.note = "demand fallback: " + entry->fallback_reason;
-    return read("unevaluated snapshot, magic rewrite fell back: snapshot "
-                "scan");
-  }
-  ++w->delta.demand_queries;
-  take_route(ServeRoute::kDemand,
-             "unevaluated snapshot: magic-set evaluation");
-  const std::shared_ptr<const MagicProgram>& rw = entry->rewrite;
-
-  Database db(store, &rw->program.signature());
-  Tuple seed;
-  seed.reserve(rw->seed_positions.size());
-  for (size_t pos : rw->seed_positions) seed.push_back(patterns[pos]);
-  db.AddTuple(rw->seed_pred, seed);
-  // The rewrite carries no facts (transform/magic.h): load the pinned
-  // snapshot's fact set, which is what keeps a rewrite cached before a
-  // fact-only republish answering over the *new* facts. Sound against
-  // the worker store because a refresh requires store_size equality -
-  // every fact term id sits inside the shared frozen prefix.
-  for (const Literal& f : snap.program().facts()) {
-    db.AddTuple(f.pred, f.args);
-  }
-  EvalOptions eval_opts = snap.options().eval();
-  eval_opts.threads = 1;  // lanes are the parallelism; no nested pools
-  // Cooperative deadline inside the fixpoint (eval/bottomup.h): a
-  // pathological goal returns a typed kDeadlineExceeded instead of
-  // starving this lane for the rest of the batch.
-  eval_opts.deadline = deadline;
-  BottomUpEvaluator eval(&rw->program, &db, eval_opts);
-  Status es = eval.Evaluate();
-  if (!es.ok()) {
-    if (es.code() == StatusCode::kDeadlineExceeded) out.partial = true;
-    return fail(es);
-  }
-
-  Relation* rel = nullptr;
-  if (db.FindRelation(rw->goal.pred) != nullptr) {
-    rel = &db.relation(rw->goal.pred);
-  }
-  RelationScanSource src(store, builtins.unify, rel, std::move(patterns));
+  RelationScanSource src(store, builtins.unify, rel, std::move(patterns),
+                         side);
+  if (!src.index_hit()) ++w->delta.index_misses;
   TupleRef t;
   for (;;) {
     if (capped()) break;
     if (deadline_hit()) {
       out.partial = true;
       return fail(Status::DeadlineExceeded(
-          "deadline exceeded streaming demand answers"));
+          "deadline exceeded during snapshot scan"));
     }
     Result<bool> more = src.Next(&t);
     if (!more.ok()) return fail(more.status());
@@ -536,9 +418,7 @@ void QueryServer::ProvisionSideIndexes(
       it = keep ? std::next(it) : side_indexes_.erase(it);
     }
   }
-  // Only a converged snapshot is probed (unevaluated ones take the
-  // demand route); ExecuteOne probes the same BoundArgs mask.
-  if (!snap.converged()) return;
+  // ExecuteOne probes the same BoundArgs mask.
   std::set<std::pair<size_t, uint32_t>> seen;  // (query, mask)
   for (const ServeRequest& req : requests) {
     if (req.query >= shapes_.size()) continue;

@@ -10,21 +10,20 @@
 // worker owns privately:
 //
 //  * a TermStore clone of the snapshot store (the per-connection
-//    intern scratch: parameter terms, magic rewrite variables and
-//    builtin results intern here, never in the shared store; TermIds
-//    interned here cross-compare soundly with snapshot ids because
-//    clones preserve the id prefix - see TermStore::Clone);
-//  * a Program re-bound to that clone, plus per-query plans and a
-//    per-(query, binding-mask) magic-rewrite cache;
-//  * a private result Database per demand query, owned for exactly the
-//    duration of one request.
+//    intern scratch: parameter terms and builtin results intern here,
+//    never in the shared store; TermIds interned here cross-compare
+//    soundly with snapshot ids because clones preserve the id prefix -
+//    see TermStore::Clone);
+//  * a Program (rules and signature) re-bound to that clone, plus
+//    per-query plans.
 //
-// Routing (DESIGN.md section 15): a converged snapshot already holds
-// the least model, so a bound point query on it is an indexed probe
-// of the materialized relation (the probe route). Only a snapshot
-// frozen unevaluated (FreezeOptions::evaluate = false) sends bound
-// queries on derived predicates through a per-request magic-set
-// evaluation (the demand route). A probe whose (relation, mask) index
+// Routing (DESIGN.md section 15): every snapshot is converged - it
+// already holds the least model - so a request takes one of three
+// routes. A query with a bound argument is an indexed probe of the
+// materialized relation (the probe route), one with none is a full
+// scan of it (the scan route), and a builtin goal runs its plan over
+// the snapshot's active domains (the builtin route). Nothing is
+// re-derived per request. A probe whose (relation, mask) index
 // the snapshot lacks uses a server side index: built once on the
 // batch's calling thread before the fan-out, read-only across lanes,
 // keyed by the relation's content tick so copy-on-write republication
@@ -56,8 +55,8 @@
 #include "eval/plan.h"
 #include "eval/relation.h"
 #include "lang/clause.h"
+#include "lang/program.h"
 #include "serve/registry.h"
-#include "transform/magic.h"
 
 namespace lps::serve {
 
@@ -121,9 +120,8 @@ struct ServeAnswer {
 /// How a request was answered (see the routing note at the top).
 enum class ServeRoute : uint8_t {
   kNone,     // not executed yet
-  kProbe,    // bound query, converged snapshot: indexed probe
-  kScan,     // snapshot relation scan
-  kDemand,   // magic-set evaluation in a private database
+  kProbe,    // bound query: indexed probe of the snapshot relation
+  kScan,     // no bound argument: full snapshot relation scan
   kBuiltin,  // builtin goal plan over the active domains
 };
 const char* ServeRouteName(ServeRoute route);
@@ -138,16 +136,16 @@ struct QueryRoute {
 /// recent batch. All zero before the first batch.
 struct ServeStats {
   uint64_t queries = 0;         // requests served (including errors)
-  uint64_t demand_queries = 0;  // answered by a magic-set evaluation
   uint64_t scan_queries = 0;    // answered from a snapshot relation
                                 // (probe or full scan)
-  uint64_t probe_queries = 0;   // of those, bound queries on a converged
-                                // snapshot: the probe route
+  uint64_t probe_queries = 0;   // of those, bound queries: the probe route
   uint64_t builtin_queries = 0; // answered by a builtin goal plan
   uint64_t empty_fast_path = 0; // proven empty without touching rows
   uint64_t errors = 0;          // requests with !status.ok()
   uint64_t answers = 0;         // total answer tuples produced
-  uint64_t rewrites_built = 0;  // magic rewrites constructed
+  // Always 0: no route evaluates per request; kept for existing readers.
+  uint64_t demand_queries = 0;
+  uint64_t rewrites_built = 0;
   uint64_t rewrite_cache_hits = 0;
   uint64_t index_misses = 0;    // bound snapshot reads with no index
   uint64_t side_index_builds = 0;  // server side indexes built
@@ -156,9 +154,9 @@ struct ServeStats {
   /// Worker took the cheap path on a new epoch: the republished
   /// snapshot has the same rule_epoch/store_size/signature as the one
   /// the worker is bound to (a fact-only republish), so the clone and
-  /// every cached plan and magic rewrite survive - only the snapshot
-  /// pointer advances. The observable witness that serving state keys
-  /// on rules, not facts.
+  /// every cached plan survive - only the snapshot pointer advances.
+  /// The observable witness that serving state keys on rules, not
+  /// facts.
   uint64_t worker_refreshes = 0;
   uint64_t batches = 0;
   // ---- Admission control (not counted into `errors`: a deadline is a
@@ -218,11 +216,6 @@ class QueryServer {
   size_t threads() const { return pool_.size(); }
 
  private:
-  struct CachedRewrite {
-    std::shared_ptr<const MagicProgram> rewrite;  // null = fell back
-    std::string fallback_reason;
-  };
-
   /// What the batch's calling thread needs to know of a prepared query
   /// to provision side indexes before the fan-out: its predicate and
   /// which variables a request must bind to bind each argument.
@@ -256,7 +249,6 @@ class QueryServer {
     Literal goal;
     GoalPlan plan;
     std::vector<TermId> vars;
-    std::map<uint32_t, CachedRewrite> rewrites;
   };
 
   /// Everything a lane owns privately. Only its own thread touches a
@@ -282,9 +274,9 @@ class QueryServer {
   /// Binds the worker to `pin`'s snapshot. Same epoch: no-op. Newer
   /// epoch with unchanged rules, term store and signature (a fact-only
   /// republish): keeps the clone and every materialized entry - plans
-  /// and magic rewrites are pure functions of the rules, and demand
-  /// facts are read from the pinned snapshot at execution time.
-  /// Anything else: re-clones store/program and drops all entries.
+  /// are pure functions of the rules, and rows are read from the
+  /// pinned snapshot at execution time. Anything else: re-clones
+  /// store/program and drops all entries.
   void BindWorker(Worker* w, const PinnedSnapshot& pin);
   /// Parses/validates/plans queries_[query] into w->entries[query].
   QueryEntry& Materialize(Worker* w, const Snapshot& snap, size_t query);

@@ -38,15 +38,15 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::Freeze() {
 Result<std::shared_ptr<const serve::Snapshot>> Session::Freeze(
     const serve::FreezeOptions& opts) {
   LPS_RETURN_IF_ERROR(Compile());
-  // A session already at fixpoint - e.g. right after an incremental
-  // MutationBatch commit - republishes without paying a redundant
-  // re-evaluation; the delta maintenance already converged the
-  // database.
-  if (opts.evaluate && !converged_) LPS_RETURN_IF_ERROR(Evaluate());
+  // Every snapshot holds the least model. A session already at
+  // fixpoint - e.g. right after an incremental MutationBatch commit -
+  // republishes without paying a redundant re-evaluation; the delta
+  // maintenance already converged the database.
+  if (!converged_) LPS_RETURN_IF_ERROR(Evaluate());
   auto snap = std::shared_ptr<serve::Snapshot>(new serve::Snapshot());
   snap->store_ = store_->Clone();
   snap->program_ = std::make_unique<Program>(
-      program_->CloneInto(snap->store_.get()));
+      program_->CloneRulesInto(snap->store_.get()));
   snap->db_ =
       db_->CloneInto(snap->store_.get(), &snap->program_->signature());
   for (const serve::FreezeOptions::IndexSpec& spec : opts.indexes) {
@@ -57,7 +57,6 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::Freeze(
   snap->db_->FreezeIndexes();
   snap->mode_ = mode_;
   snap->options_ = options_;
-  snap->converged_ = converged_;
   snap->store_size_ = snap->store_->size();
   snap->rule_epoch_ = rule_epoch_;
   snap->session_id_ = session_id_;
@@ -80,7 +79,7 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
         "session (relation content ticks are lineage-local)");
   }
   LPS_RETURN_IF_ERROR(Compile());
-  if (opts.evaluate && !converged_) LPS_RETURN_IF_ERROR(Evaluate());
+  if (!converged_) LPS_RETURN_IF_ERROR(Evaluate());
 
   auto snap = std::shared_ptr<serve::Snapshot>(new serve::Snapshot());
   // Share the whole term store when nothing was interned since prev
@@ -98,11 +97,11 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
   } else {
     snap->store_ = store_->Clone();
   }
-  // The program is always re-cloned: facts change on every commit and
-  // CloneInto is cheap (vector copies + a signature pointer rebind -
-  // no re-interning, so a shared store is never mutated here).
+  // The rules are re-cloned, without the fact list: CloneRulesInto is
+  // a shared clause vector and a signature copy with a pointer rebind -
+  // no re-interning, so a shared store is never mutated here.
   snap->program_ = std::make_unique<Program>(
-      program_->CloneInto(snap->store_.get()));
+      program_->CloneRulesInto(snap->store_.get()));
   snap->db_ = db_->CloneIntoCow(snap->store_.get(),
                                 &snap->program_->signature(),
                                 prev->database());
@@ -118,7 +117,6 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
   snap->db_->FreezeIndexes();
   snap->mode_ = mode_;
   snap->options_ = options_;
-  snap->converged_ = converged_;
   snap->store_size_ = snap->store_->size();
   snap->rule_epoch_ = rule_epoch_;
   snap->session_id_ = session_id_;
@@ -132,8 +130,6 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
   }
   serve::CowStats cow;
   cow.store_shared = snap->store_.get() == &prev->store();
-  cow.fact_chunks_shared =
-      snap->program_->facts().SharedChunksWith(prev->program().facts());
   for (const auto& [pred, rel] : snap->db_->Relations()) {
     if (prev_rels.count(rel)) {
       ++cow.relations_shared;

@@ -1,17 +1,21 @@
 // A frozen, immutable copy of a Session's state, safe for any number
 // of concurrent readers.
 //
-// Session::Freeze() deep-clones the term store (TermStore::Clone - id
-// and symbol assignments are preserved exactly), re-binds a copy of
-// the program and database to the clone, and catches up every
-// relation index (Database::FreezeIndexes). After publication nothing
-// ever mutates a Snapshot: the read path is Relation::LookupSnapshot
-// probes of prebuilt indexes, const TermStore::TryLookup* probes of
-// the intern tables, and active-domain reads - all verified free of
-// lazy mutation - so readers need no locks at all (DESIGN.md section
-// 15). Writers keep loading facts and re-evaluating on the *session*
-// copies and publish fresh snapshots through serve::SnapshotRegistry
-// while readers drain on the old epoch.
+// Session::Freeze() brings the session to fixpoint, so every snapshot
+// holds the least model and its relations answer every query
+// completely. It deep-clones the term store (TermStore::Clone - id and
+// symbol assignments are preserved exactly), re-binds a copy of the
+// program's rules and signature (not its fact list: the facts are in
+// the database) and of the database to the clone, and catches up
+// every relation index (Database::FreezeIndexes). After publication
+// nothing ever mutates a Snapshot: the read path is
+// Relation::LookupSnapshot probes of prebuilt indexes, const
+// TermStore::TryLookup* probes of the intern tables, and active-domain
+// reads - all verified free of lazy mutation - so readers need no
+// locks at all (DESIGN.md section 15). Writers keep loading facts and
+// re-evaluating on the *session* copies and publish fresh snapshots
+// through serve::SnapshotRegistry while readers drain on the old
+// epoch.
 #ifndef LPS_SERVE_SNAPSHOT_H_
 #define LPS_SERVE_SNAPSHOT_H_
 
@@ -32,12 +36,6 @@ class Session;
 namespace serve {
 
 struct FreezeOptions {
-  /// Bring the session database to fixpoint before freezing (the
-  /// normal serving mode: scans over the snapshot are then complete
-  /// answers). With false the snapshot captures the database as-is -
-  /// Snapshot::converged() reports which.
-  bool evaluate = true;
-
   /// Extra per-mask indexes to build eagerly at freeze time, for
   /// binding patterns the server is expected to probe that no prior
   /// execution has indexed yet. Predicates are named (name, arity);
@@ -62,7 +60,6 @@ struct CowStats {
   // Arena bytes of the shared relations. Index bytes are not counted,
   // so the actual shared footprint is larger than this figure.
   size_t bytes_shared = 0;
-  size_t fact_chunks_shared = 0;  // sealed EDB fact chunks aliased from prev
   bool store_shared = false;    // TermStore aliased (no new terms/symbols)
 };
 
@@ -79,21 +76,18 @@ class Snapshot {
   const Database& database() const { return *db_; }
   const Signature& signature() const { return program_->signature(); }
   LanguageMode mode() const { return mode_; }
-  /// The freezing session's options (evaluation limits, builtin
-  /// semantics) - servers evaluate demand queries under these.
+  /// The freezing session's options (builtin semantics for served
+  /// builtin goals and set-pattern unification).
   const Options& options() const { return options_; }
-  /// True when the database was at fixpoint at freeze time, i.e. scan
-  /// answers over this snapshot are complete.
-  bool converged() const { return converged_; }
   /// Number of terms in the frozen store. A ground term resolved in a
   /// descendant clone with id >= store_size() was interned after the
   /// freeze and therefore occurs in no stored tuple here.
   size_t store_size() const { return store_size_; }
   /// The freezing session's rule_epoch() at freeze time. Two snapshots
   /// of one session with equal rule epochs have identical rule sets,
-  /// so rule-derived serving state (goal plans, cached magic rewrites)
-  /// built against one is valid against the other - the basis of the
-  /// QueryServer's cheap worker refresh across fact-only republishes.
+  /// so rule-derived serving state (goal plans) built against one is
+  /// valid against the other - the basis of the QueryServer's cheap
+  /// worker refresh across fact-only republishes.
   uint64_t rule_epoch() const { return rule_epoch_; }
   /// Id of the session that froze this snapshot (process-unique).
   /// FreezeIncremental refuses a `prev` from a different session:
@@ -116,7 +110,6 @@ class Snapshot {
   std::unique_ptr<Database> db_;
   LanguageMode mode_ = LanguageMode::kLDL;
   Options options_;
-  bool converged_ = false;
   size_t store_size_ = 0;
   uint64_t rule_epoch_ = 0;
   uint64_t session_id_ = 0;
