@@ -11,11 +11,13 @@
 //     topology)
 //
 // BM_*ChurnFull commits with Options::incremental off (every commit
-// pays a from-scratch fixpoint); BM_*ChurnIncremental turns it on
+// pays a from-scratch fixpoint); BM_*ChurnIncremental keeps the default
 // (delta semi-naive inserts + DRed retracts, eval/incremental.h). The
 // CI gate (scripts/check_bench.py --min-ratio) requires incremental to
-// be >= 20x faster on both workloads. BM_ChurnDrift (at the end) gates
-// that a commit's cost stays flat as commits pile up.
+// be >= 20x faster on both workloads. BM_ClusterReachChurn* covers the
+// opposite shape - clustered closure, where nearly every over-deleted
+// tuple is re-derived - under its own floor. BM_ChurnDrift (at the
+// end) gates that a commit's cost stays flat as commits pile up.
 //
 // Before measuring, the bench verifies correctness: several churn
 // rounds through the incremental path must leave a database whose
@@ -258,6 +260,148 @@ void BM_BomReachChurnIncremental(benchmark::State& state) {
   ChurnLoop(state, BomReachSource(), "part_of", /*incremental=*/true);
 }
 BENCHMARK(BM_BomReachChurnIncremental)->Unit(benchmark::kMicrosecond);
+
+// ---- Clustered closure: the rederive-heavy shape ----------------------
+//
+// The social-graph shape: kClusters clusters of kClusterSize nodes, each
+// node following the next member of its ring, the member three ahead,
+// and one seeded member of its cluster, under the transitive closure.
+// Every cluster is strongly connected, so its closure is all
+// kClusterSize^2 pairs, and re-pointing one node's seeded edge condemns
+// most of its cluster's closure in DRed's over-delete - nearly all of
+// which survives and must be re-derived. Each commit moves
+// kClusterMoves seeded edges. BM_ClusterReachChurnFull re-evaluates
+// from scratch (Options::incremental off), BM_ClusterReachChurnIncremental
+// maintains; CI gates their ratio. Before timing, the incremental
+// session's database after several commits must equal a from-scratch
+// evaluation of the same edges.
+
+constexpr size_t kClusters = 24;
+constexpr size_t kClusterSize = 64;
+constexpr size_t kClusterMoves = 4;
+
+class ClusterGraph {
+ public:
+  ClusterGraph() : extra_(kClusters * kClusterSize, kNone) {
+    for (size_t u = 0; u < extra_.size(); ++u) extra_[u] = PickExtra(u);
+  }
+
+  std::string Source() const {
+    std::string src =
+        "reach(X, Y) :- follows(X, Y).\n"
+        "reach(X, Z) :- reach(X, Y), follows(Y, Z).\n";
+    for (size_t u = 0; u < extra_.size(); ++u) {
+      for (size_t v : Follows(u)) {
+        src += "follows(" + Node(u) + ", " + Node(v) + ").\n";
+      }
+    }
+    return src;
+  }
+
+  /// Stages one commit: kClusterMoves nodes re-point their seeded edge.
+  void Stage(Session* session, MutationBatch* batch) {
+    TermStore* store = session->store();
+    std::vector<size_t> moved;
+    while (moved.size() < kClusterMoves) {
+      const size_t u = rng_.Below(extra_.size());
+      if (std::find(moved.begin(), moved.end(), u) != moved.end()) continue;
+      moved.push_back(u);
+      const size_t next = PickExtra(u);
+      const TermId from = store->MakeConstant(Node(u));
+      MustOk(batch->Retract("follows",
+                            {from, store->MakeConstant(Node(extra_[u]))}),
+             "cluster retract");
+      MustOk(batch->Add("follows", {from, store->MakeConstant(Node(next))}),
+             "cluster add");
+      extra_[u] = next;
+    }
+  }
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  static std::string Node(size_t u) { return "u" + std::to_string(u); }
+  static size_t Ring(size_t u, size_t hop) {
+    const size_t base = u / kClusterSize * kClusterSize;
+    return base + (u - base + hop) % kClusterSize;
+  }
+  std::vector<size_t> Follows(size_t u) const {
+    return {Ring(u, 1), Ring(u, 3), extra_[u]};
+  }
+  // A member of u's cluster other than u, its ring and skip edges and
+  // its current seeded edge, so every edge stays one distinct fact.
+  size_t PickExtra(size_t u) {
+    const size_t base = u / kClusterSize * kClusterSize;
+    for (;;) {
+      const size_t v = base + rng_.Below(kClusterSize);
+      if (v != u && v != Ring(u, 1) && v != Ring(u, 3) && v != extra_[u]) {
+        return v;
+      }
+    }
+  }
+
+  Rng rng_{2718};
+  std::vector<size_t> extra_;
+};
+
+void ClusterChurnLoop(benchmark::State& state, bool incremental) {
+  ClusterGraph graph;
+  auto session = EvaluatedSession(graph.Source(), incremental);
+  size_t overdeleted = 0;
+  size_t witnesses = 0;
+  size_t commits = 0;
+  for (auto _ : state) {
+    MutationBatch batch = session->Mutate();
+    graph.Stage(session.get(), &batch);
+    MustOk(batch.Commit(), "cluster commit");
+    overdeleted += session->eval_stats().overdeleted_tuples;
+    witnesses += session->eval_stats().witness_searches;
+    ++commits;
+  }
+  state.counters["tuples"] =
+      static_cast<double>(session->database()->TupleCount());
+  if (incremental) {
+    state.counters["overdeleted_per_commit"] =
+        static_cast<double>(overdeleted) / static_cast<double>(commits);
+    state.counters["witnesses_per_commit"] =
+        static_cast<double>(witnesses) / static_cast<double>(commits);
+  }
+}
+
+void BM_ClusterReachChurnFull(benchmark::State& state) {
+  ClusterChurnLoop(state, /*incremental=*/false);
+}
+BENCHMARK(BM_ClusterReachChurnFull)->Unit(benchmark::kMicrosecond);
+
+void BM_ClusterReachChurnIncremental(benchmark::State& state) {
+  static const bool verified = [] {
+    ClusterGraph graph;
+    auto inc = EvaluatedSession(graph.Source(), /*incremental=*/true);
+    for (int i = 0; i < 5; ++i) {
+      MutationBatch batch = inc->Mutate();
+      graph.Stage(inc.get(), &batch);
+      MustOk(batch.Commit(), "cluster commit");
+    }
+    if (inc->eval_stats().commit_route != CommitRoute::kIncremental) {
+      std::fprintf(stderr,
+                   "bench_incremental: cluster churn did not commit "
+                   "incrementally\n");
+      std::abort();
+    }
+    auto ref = EvaluatedSession(graph.Source(), /*incremental=*/false);
+    if (inc->database()->ToCanonicalString(inc->program()->signature()) !=
+        ref->database()->ToCanonicalString(ref->program()->signature())) {
+      std::fprintf(stderr,
+                   "bench_incremental: cluster churn diverged from the "
+                   "from-scratch fixpoint\n");
+      std::abort();
+    }
+    return true;
+  }();
+  (void)verified;
+  ClusterChurnLoop(state, /*incremental=*/true);
+}
+BENCHMARK(BM_ClusterReachChurnIncremental)->Unit(benchmark::kMicrosecond);
 
 // ---- Commit cost under drift churn ----------------------------------
 //

@@ -13,7 +13,10 @@
 // batch the incrementally maintained database must equal - canonical
 // string for canonical string - a from-scratch fixpoint of the same
 // mutated program, and after the last batch the demand-executed goal
-// answers must match the full fixpoint's.
+// answers must match the full fixpoint's. A second churn pass does the
+// same over a random digraph with back edges under a transitive
+// closure (CyclicChurnCheck), where retracts condemn closure tuples
+// that support each other around cycles.
 //
 // Clean seeds also run a body-permutation sweep: PermuteRuleBodies
 // shuffles the literal order of every rule body, and each permuted
@@ -237,12 +240,101 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
   return "";
 }
 
+// Churn over cyclic recursion, which the seed programs rarely reach
+// (their edges mostly point forward): a random digraph over a dozen
+// or two nodes with back edges, under a transitive closure (left-,
+// right-linear or non-linear by seed) and a mutual-reachability join.
+// Each batch retracts and adds a few edges through the incremental
+// path; after every batch the database must equal a from-scratch
+// evaluation of the same edge set. Retracting an edge on a cycle
+// condemns closure tuples that support each other, so DRed's
+// interleaved rederivation must revive exactly those with a
+// derivation from the surviving edges.
+std::string CanonicalModel(const std::string& source, std::string* error,
+                           size_t threads = 1, size_t* forked = nullptr);
+
+std::string CyclicChurnCheck(uint64_t seed) {
+  lps::bench::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 3);
+  const uint64_t nodes = 8 + rng.Below(17);
+  auto node = [](uint64_t n) { return "v" + std::to_string(n); };
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  auto has = [&](uint64_t a, uint64_t b) {
+    return std::find(edges.begin(), edges.end(), std::make_pair(a, b)) !=
+           edges.end();
+  };
+  auto random_edge = [&] {
+    for (;;) {
+      const uint64_t a = rng.Below(nodes);
+      // Mostly forward hops, with one edge in three pointing back.
+      const uint64_t b = rng.Below(3) == 0
+                             ? rng.Below(nodes)
+                             : (a + 1 + rng.Below(3)) % nodes;
+      if (!has(a, b)) return std::make_pair(a, b);
+    }
+  };
+  for (uint64_t i = 0, n = nodes + rng.Below(nodes); i < n; ++i) {
+    edges.push_back(random_edge());
+  }
+  static const char* const kClosures[] = {
+      "reach(X, Z) :- reach(X, Y), edge(Y, Z).\n",
+      "reach(X, Z) :- edge(X, Y), reach(Y, Z).\n",
+      "reach(X, Z) :- reach(X, Y), reach(Y, Z).\n",
+  };
+  const std::string rules = std::string("reach(X, Y) :- edge(X, Y).\n") +
+                            kClosures[rng.Below(3)] +
+                            "mutual(X, Y) :- reach(X, Y), reach(Y, X).\n";
+  auto edge_text = [&](const std::pair<uint64_t, uint64_t>& e) {
+    return "edge(" + node(e.first) + ", " + node(e.second) + ")";
+  };
+  auto source = [&] {
+    std::string out = rules;
+    for (const auto& e : edges) out += edge_text(e) + ".\n";
+    return out;
+  };
+
+  lps::Session inc(lps::LanguageMode::kLDL);  // default: incremental
+  lps::Status st = inc.Load(source());
+  if (st.ok()) st = inc.Evaluate();
+  if (!st.ok()) return "cyclic churn setup: " + st.ToString();
+  for (int batch = 0; batch < 4; ++batch) {
+    lps::MutationBatch b = inc.Mutate();
+    for (uint64_t i = 0, n = 1 + rng.Below(3); i < n && !edges.empty();
+         ++i) {
+      const size_t victim = rng.Below(edges.size());
+      st = b.RetractText(edge_text(edges[victim]));
+      if (!st.ok()) return "cyclic churn stage: " + st.ToString();
+      edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    for (uint64_t i = 0, n = rng.Below(3); i < n; ++i) {
+      edges.push_back(random_edge());
+      st = b.AddText(edge_text(edges.back()));
+      if (!st.ok()) return "cyclic churn stage: " + st.ToString();
+    }
+    st = b.Commit();
+    if (!st.ok()) return "cyclic churn commit: " + st.ToString();
+    if (inc.eval_stats().commit_route != lps::CommitRoute::kIncremental) {
+      return "cyclic churn commit did not run incrementally: " +
+             inc.eval_stats().commit_fallback_reason;
+    }
+    std::string err;
+    const std::string want = CanonicalModel(source(), &err);
+    if (!err.empty()) return "cyclic churn referee: " + err;
+    if (inc.database()->ToCanonicalString(inc.program()->signature()) !=
+        want) {
+      return "incremental db != from-scratch fixpoint after cyclic churn "
+             "batch " +
+             std::to_string(batch) + " of\n" + source();
+    }
+  }
+  return "";
+}
+
 // Full fixpoint of `source` on `threads` lanes, rendered as the
 // database's canonical string (sorted, TermStore-independent), with the
 // number of forked tasks in *forked. On evaluation error returns ""
 // with the message in *error.
 std::string CanonicalModel(const std::string& source, std::string* error,
-                           size_t threads = 1, size_t* forked = nullptr) {
+                           size_t threads, size_t* forked) {
   lps::Options options;
   options.threads = threads;
   lps::Session session(lps::LanguageMode::kLDL, options);
@@ -350,6 +442,7 @@ int main(int argc, char** argv) {
   size_t failures = 0;
   size_t topdown_compared = 0;
   size_t churned = 0;
+  size_t cyclic_churned = 0;
   size_t permutations_checked = 0;
   size_t lane_sweeps = 0;
   size_t forked_sweeps = 0;
@@ -490,6 +583,12 @@ int main(int argc, char** argv) {
       continue;
     }
     ++churned;
+    churn = CyclicChurnCheck(seed);
+    if (!churn.empty()) {
+      fail(churn);
+      continue;
+    }
+    ++cyclic_churned;
   }
 
   if (lane_sweeps >= 20 && forked_sweeps == 0) {
@@ -502,10 +601,11 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzz_equivalence: %llu seeds [%llu, %llu), %zu with top-down "
       "comparison, %zu with lane sweeps (%zu forked at 4 lanes), %zu with "
-      "churn schedules, %zu body permutations, %zu failures\n",
+      "churn schedules (%zu cyclic), %zu body permutations, %zu failures\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(start),
       static_cast<unsigned long long>(start + seeds), topdown_compared,
-      lane_sweeps, forked_sweeps, churned, permutations_checked, failures);
+      lane_sweeps, forked_sweeps, churned, cyclic_churned,
+      permutations_checked, failures);
   return failures == 0 ? 0 : 1;
 }

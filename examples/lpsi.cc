@@ -34,12 +34,13 @@
 // the goal demands. Goals outside the fragment fall back to the full
 // fixpoint transparently (.stats shows the recorded reason).
 //
-// With --incremental a .add/.retract commit re-converges by delta
-// rules (DESIGN.md section 16) instead of a from-scratch re-evaluation;
-// .stats then shows the delta_rounds / rederived / overdeleted
-// counters of the last maintenance pass.
+// A .add/.retract commit re-converges by delta rules (DESIGN.md
+// section 16) when the program is positive Horn, and by a from-scratch
+// re-evaluation otherwise; .stats shows the route the last commit took,
+// why it fell back if it did, and the delta_rounds / rederived /
+// overdeleted counters of the last maintenance pass.
 //
-//   build/examples/lpsi [--demand] [--incremental] [--lanes N] program.lps
+//   build/examples/lpsi [--demand] [--lanes N] program.lps
 //   echo "path(a, X)" | build/examples/lpsi --demand program.lps
 #include <chrono>
 #include <cstdio>
@@ -86,10 +87,17 @@ void PrintStats(const lps::EvalStats& s, size_t subsumptions) {
                   ? "(none)"
                   : s.demand_fallback_reason.c_str());
   std::printf("incremental:\n");
+  std::printf("  commit_route       %s\n",
+              lps::CommitRouteName(s.commit_route));
+  std::printf("  fallback_reason    %s\n",
+              s.commit_fallback_reason.empty()
+                  ? "(none)"
+                  : s.commit_fallback_reason.c_str());
   std::printf("  delta_rounds       %zu\n", s.delta_rounds);
   std::printf("  rederived_tuples   %zu\n", s.rederived_tuples);
   std::printf("  overdeleted_tuples %zu\n", s.overdeleted_tuples);
   std::printf("  compactions        %zu\n", s.compactions);
+  std::printf("  witness_searches   %zu\n", s.witness_searches);
   std::printf("planner:\n");
   std::printf("  plan_reorders         %zu\n", s.plan_reorders);
   std::printf("  plan_estimated_tuples %.0f\n", s.plan_estimated_tuples);
@@ -248,15 +256,12 @@ void Answer(lps::Session* session, lps::PreparedQuery* query,
 
 int main(int argc, char** argv) {
   bool demand = false;
-  bool incremental = false;
   size_t lanes = 0;  // 0 = hardware concurrency
   const char* path = nullptr;
   bool bad_usage = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--demand") {
       demand = true;
-    } else if (std::string_view(argv[i]) == "--incremental") {
-      incremental = true;
     } else if (std::string_view(argv[i]) == "--lanes" && i + 1 < argc) {
       lanes = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (path == nullptr) {
@@ -269,7 +274,7 @@ int main(int argc, char** argv) {
   if (path == nullptr || bad_usage) {
     std::fprintf(
         stderr,
-        "usage: %s [--demand] [--incremental] [--lanes N] <program.lps>\n",
+        "usage: %s [--demand] [--lanes N] <program.lps>\n",
         argv[0]);
     return 2;
   }
@@ -283,7 +288,6 @@ int main(int argc, char** argv) {
 
   lps::Options options;
   options.demand = demand;
-  options.incremental = incremental;
   if (lanes != 0) options.threads = lanes;  // default stays sequential
   lps::Session session(lps::LanguageMode::kLDL, options);
   lps::Status st = session.Load(buffer.str());

@@ -256,7 +256,23 @@ Status MutationBatch::Commit() {
   }
   if (inserts.empty() && retracts.empty()) return Status::OK();
 
-  if (s->options_.incremental) {
+  // The route: delta rules when the rules allow it (decided once per
+  // rule epoch), else a from-scratch re-evaluation.
+  std::string fallback;
+  if (!s->options_.incremental) {
+    fallback = "Options::incremental is off";
+  } else {
+    if (!s->maintain_verdict_valid_ ||
+        s->maintain_verdict_epoch_ != s->rule_epoch_) {
+      LPS_ASSIGN_OR_RETURN(
+          s->maintain_verdict_,
+          IncrementalMaintainer::IneligibleReason(*s->program_));
+      s->maintain_verdict_epoch_ = s->rule_epoch_;
+      s->maintain_verdict_valid_ = true;
+    }
+    fallback = s->maintain_verdict_;
+  }
+  if (fallback.empty()) {
     IncrementalMaintainer maintainer(s->program_.get(), s->db_.get(),
                                      s->options_.eval());
     LPS_ASSIGN_OR_RETURN(
@@ -267,13 +283,18 @@ Status MutationBatch::Commit() {
       const EvalStats::IngestStats ingest = s->eval_stats_.ingest;
       s->eval_stats_ = maintainer.stats();
       s->eval_stats_.ingest = ingest;
+      s->eval_stats_.commit_route = CommitRoute::kIncremental;
       return Status::OK();  // still converged
     }
-    // Outside the maintainable fragment: fall through to the exact
-    // from-scratch path.
+    fallback = maintainer.ineligible_reason();
   }
+  // Outside the maintainable fragment, or maintenance switched off: the
+  // exact from-scratch path.
   s->ResetDatabase();
-  return s->Evaluate();
+  LPS_RETURN_IF_ERROR(s->Evaluate());
+  s->eval_stats_.commit_route = CommitRoute::kFull;
+  s->eval_stats_.commit_fallback_reason = std::move(fallback);
+  return Status::OK();
 }
 
 }  // namespace lps

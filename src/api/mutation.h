@@ -10,10 +10,13 @@
 // Commit() updates the program's fact set, bumps fact_epoch() (never
 // rule_epoch(), so prepared-query rewrite caches survive), and - when
 // the session database is at fixpoint - re-converges it: through the
-// incremental maintainer (Options::incremental, eval/incremental.h)
-// when the program is in the maintainable fragment, otherwise through
+// incremental maintainer (eval/incremental.h; Options::incremental, on
+// by default) when the program is in the maintainable fragment - a
+// verdict the session reaches once per rule epoch - otherwise through
 // a full from-scratch re-evaluation. Either way the post-commit
-// database equals the from-scratch fixpoint of the mutated program.
+// database equals the from-scratch fixpoint of the mutated program,
+// and EvalStats::commit_route / commit_fallback_reason say which route
+// ran and why.
 // On a session that has not evaluated yet, Commit() only updates the
 // program, exactly like the deprecated Session::AddFact() always did;
 // the facts take effect at the next Evaluate().

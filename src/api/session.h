@@ -270,6 +270,12 @@ class Session {
                      std::unordered_map<Tuple, size_t, TupleHash>>
       fact_counts_;
   bool fact_counts_valid_ = false;
+  // Whether the rules admit incremental maintenance
+  // (IncrementalMaintainer::IneligibleReason; "" = they do), decided on
+  // the first commit of each rule epoch.
+  std::string maintain_verdict_;
+  uint64_t maintain_verdict_epoch_ = 0;
+  bool maintain_verdict_valid_ = false;
 };
 
 }  // namespace lps

@@ -156,6 +156,30 @@ Status BottomUpEvaluator::Evaluate() {
   return Status::OK();
 }
 
+const char* CommitRouteName(CommitRoute route) {
+  switch (route) {
+    case CommitRoute::kNone:
+      return "none";
+    case CommitRoute::kIncremental:
+      return "incremental";
+    case CommitRoute::kFull:
+      return "full";
+  }
+  return "?";
+}
+
+bool BottomUpEvaluator::HornSimple(const Clause& clause,
+                                   const RulePlan& plan) {
+  if (plan.has_quantifiers || clause.grouping.has_value()) return false;
+  for (const PlanStep& s : plan.free_plan.steps) {
+    if (s.kind == StepKind::kEnumAtom || s.kind == StepKind::kEnumSet ||
+        s.kind == StepKind::kEnumAny) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Status BottomUpEvaluator::CompileRules(bool witness_plans) {
   const TermStore& store = *program_->store();
   const Signature& sig = program_->signature();
@@ -190,15 +214,7 @@ Status BottomUpEvaluator::CompileRules(bool witness_plans) {
     if (r.plan.free_plan.est_out >= 0) {
       stats_.plan_estimated_tuples += r.plan.free_plan.est_out;
     }
-    bool has_enum = false;
-    for (const PlanStep& s : r.plan.free_plan.steps) {
-      if (s.kind == StepKind::kEnumAtom || s.kind == StepKind::kEnumSet ||
-          s.kind == StepKind::kEnumAny) {
-        has_enum = true;
-      }
-    }
-    r.horn_simple = !r.plan.has_quantifiers &&
-                    !r.clause->grouping.has_value() && !has_enum;
+    r.horn_simple = HornSimple(*r.clause, r.plan);
     if (witness_plans && r.horn_simple) {
       // Incremental rederive searches enter with the head bound: plan
       // them that way, so the order starts from the literal the bound

@@ -52,6 +52,16 @@ struct EvalOptions {
   BuiltinOptions builtins;
 };
 
+/// How a MutationBatch commit on an evaluated session re-converged.
+enum class CommitRoute : uint8_t {
+  kNone,         // no commit since the last Evaluate()
+  kIncremental,  // delta rules (eval/incremental.h)
+  kFull,         // from-scratch re-evaluation
+};
+
+/// "none", "incremental" or "full".
+const char* CommitRouteName(CommitRoute route);
+
 struct EvalStats {
   size_t strata = 0;
   size_t iterations = 0;
@@ -100,6 +110,15 @@ struct EvalStats {
   size_t compactions = 0;         // relations rebuilt from their live rows
                                   // after the batch (tombstones > half
                                   // the live rows)
+  size_t witness_searches = 0;    // head-bound rederive searches (DRed
+                                  // revives the other casualties by
+                                  // propagating revivals)
+  // How the last MutationBatch commit re-converged the database, and
+  // why it fell back when it took the full route (the maintainer's
+  // ineligible_reason(), or that Options::incremental is off). kNone
+  // after a plain Evaluate().
+  CommitRoute commit_route = CommitRoute::kNone;
+  std::string commit_fallback_reason;
   // ---- Bulk ingestion (api/ingest.cc), filled by the last
   // Session::LoadFactsParallel; all zero otherwise. Unlike the rest of
   // EvalStats this block survives later evaluations and mutation
@@ -335,6 +354,9 @@ class BottomUpEvaluator {
   /// which alone asks for `witness_plans` (each Horn rule's body planned
   /// with the head bound, for its rederive searches).
   Status CompileRules(bool witness_plans = false);
+  /// CompiledRule::horn_simple: no quantifiers, no grouping head and no
+  /// domain-enumeration step, so delta joins cover the rule.
+  static bool HornSimple(const Clause& clause, const RulePlan& plan);
   void CompileSlots(CompiledRule* rule) const;
 
   Status EvaluateStratum(const std::vector<size_t>& clause_indices,

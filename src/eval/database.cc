@@ -183,12 +183,13 @@ std::unique_ptr<Database> Database::CloneInto(TermStore* store,
                                               const Signature* sig) const {
   auto clone = std::make_unique<Database>(store, sig);
   // Plain member copies overwrite the constructor's {}-registration;
-  // relations are deep-copied (Relation's value semantics copy arenas
-  // and indexes) so the clone never aliases this database's storage.
+  // relations are deep-copied (arenas and the indexes that are not
+  // session-only) so the clone never aliases this database's storage.
   clone->relations_.resize(relations_.size());
   for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
     if (relations_[pred] != nullptr) {
-      clone->relations_[pred] = std::make_shared<Relation>(*relations_[pred]);
+      clone->relations_[pred] =
+          std::make_shared<Relation>(relations_[pred]->CopyForSnapshot());
     }
   }
   // Domains alias rather than copy: they are append-only, and
@@ -214,12 +215,36 @@ std::unique_ptr<Database> Database::CloneIntoCow(
       // process-wide unique), and prev's copy is already index-frozen.
       clone->relations_[pred] = *shared;
     } else {
-      clone->relations_[pred] = std::make_shared<Relation>(*rel);
+      clone->relations_[pred] =
+          std::make_shared<Relation>(rel->CopyForSnapshot());
     }
   }
   clone->domains_ = domains_;
   clone->version_ = version_;
   return clone;
+}
+
+std::vector<size_t> Database::IndexCounts() const {
+  std::vector<size_t> counts(relations_.size(), 0);
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    if (relations_[pred] != nullptr) {
+      counts[pred] = relations_[pred]->index_count();
+    }
+  }
+  return counts;
+}
+
+void Database::MarkIndexesSessionOnly(const std::vector<size_t>& before) {
+  for (PredicateId pred = 0; pred < relations_.size(); ++pred) {
+    const Relation* rel = relations_[pred].get();
+    const size_t first = pred < before.size() ? before[pred] : 0;
+    if (rel == nullptr || rel->index_count() == first) continue;
+    MutableRelation(pred)->MarkIndexesSessionOnly(first);
+  }
+}
+
+void Database::RestoreContentTick(PredicateId pred, uint64_t tick) {
+  if (Relation* rel = MutableRelation(pred)) rel->RestoreContentTick(tick);
 }
 
 void Database::EnsureIndex(PredicateId pred, uint32_t mask) {

@@ -182,6 +182,17 @@ class Database {
   /// incremental batches, never while watermarks or row lists are held.
   size_t CompactTombstones();
 
+  /// Relation::index_count() of every relation, by PredicateId (0 for
+  /// relations not materialized).
+  std::vector<size_t> IndexCounts() const;
+
+  /// Marks session-only (Relation::MarkIndexesSessionOnly) every index
+  /// built since `before` = IndexCounts() was taken.
+  void MarkIndexesSessionOnly(const std::vector<size_t>& before);
+
+  /// Relation::RestoreContentTick on pred's relation.
+  void RestoreContentTick(PredicateId pred, uint64_t tick);
+
   /// Deterministic dump: relations ordered by PredicateId, rows in
   /// insertion order (dead rows skipped).
   std::string ToString(const Signature& sig) const;
@@ -199,9 +210,9 @@ class Database {
   /// Deep copy re-bound to `store` and `sig`, which must resolve every
   /// TermId / PredicateId this database holds identically - i.e. be
   /// the TermStore::Clone() of this database's store and the signature
-  /// of a Program::CloneInto against it. Copies rows, domains, indexes
-  /// and the version counter, so the clone is byte-equivalent for
-  /// every read.
+  /// of a Program::CloneInto against it. Copies rows, domains, the
+  /// indexes that are not session-only (Relation::CopyForSnapshot) and
+  /// the version counter, so the clone answers every read identically.
   std::unique_ptr<Database> CloneInto(TermStore* store,
                                       const Signature* sig) const;
 
@@ -211,11 +222,11 @@ class Database {
   /// `prev` - i.e. one that has not changed since `prev` was frozen
   /// from this session - shares prev's immutable Relation object
   /// (arena, dedup table and per-mask indexes included) instead of
-  /// deep-copying; only touched relations are cloned. Domains and the
-  /// version counter are still copied, so the clone answers every read
-  /// byte-identically to CloneInto. `prev` must be a frozen snapshot
-  /// database of the same session lineage (enforced by the caller via
-  /// snapshot session ids).
+  /// deep-copying; only touched relations are cloned, as CloneInto
+  /// clones them. Domains and the version counter are still copied, so
+  /// the clone answers every read byte-identically to CloneInto.
+  /// `prev` must be a frozen snapshot database of the same session
+  /// lineage (enforced by the caller via snapshot session ids).
   std::unique_ptr<Database> CloneIntoCow(TermStore* store,
                                          const Signature* sig,
                                          const Database& prev) const;

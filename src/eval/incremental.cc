@@ -1,8 +1,8 @@
 #include "eval/incremental.h"
 
+#include <bit>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "unify/unify.h"
 
@@ -38,37 +38,116 @@ IncrementalMaintainer::IncrementalMaintainer(const Program* program,
         return options;
       }()) {}
 
+namespace {
+
+// Why `clause` keeps a program out of the maintainable fragment, or
+// "". Deletion is only invertible rule-by-rule in the Horn fragment:
+// negation and grouping are non-monotone (a deletion can create
+// tuples), and quantified or enumerating rules observe whole domains
+// rather than deltas; any of them forces a full re-fixpoint.
+std::string ClauseIneligibility(const Clause& clause, bool horn_simple,
+                                const Signature& sig) {
+  if (!horn_simple) {
+    return "rule outside the Horn fragment (quantifier, grouping, or "
+           "domain enumeration): " +
+           sig.Name(clause.head.pred);
+  }
+  for (const Literal& lit : clause.body) {
+    if (!lit.positive) {
+      return "negated body literal in rule for " +
+             sig.Name(clause.head.pred);
+    }
+  }
+  return "";
+}
+
+// One relation's casualties in a Retract: the over-deleted rows in
+// discovery order with a RowId bitmap for membership, and the revived
+// rows in revival order. Both passes consume their list as a frontier
+// window, like semi-naive watermarks.
+struct Casualties {
+  std::vector<RowId> rows;
+  std::vector<uint64_t> bits;  // sized to the relation on first use
+  std::vector<RowId> revived;
+  size_t condemned_done = 0;  // rows[0, condemned_done) joined already
+  size_t revived_done = 0;    // revived[0, revived_done) propagated
+
+  bool Has(RowId r) const {
+    const size_t word = r >> 6;
+    return word < bits.size() && ((bits[word] >> (r & 63)) & 1) != 0;
+  }
+  /// Sets r's bit; false when it was set already.
+  bool Insert(RowId r, size_t relation_rows) {
+    if (bits.empty()) bits.assign((relation_rows + 63) / 64, 0);
+    uint64_t& word = bits[r >> 6];
+    const uint64_t bit = uint64_t{1} << (r & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+};
+
+}  // namespace
+
+Result<std::string> IncrementalMaintainer::IneligibleReason(
+    const Program& program) {
+  for (const Clause& c : program.clauses()) {
+    LPS_ASSIGN_OR_RETURN(
+        RulePlan plan,
+        BuildRulePlan(*program.store(), program.signature(), c));
+    std::string why = ClauseIneligibility(
+        c, BottomUpEvaluator::HornSimple(c, plan), program.signature());
+    if (!why.empty()) return why;
+  }
+  return std::string();
+}
+
 Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& inserts,
     const std::vector<FactOp>& retracts, const FactCounts* edb_counts) {
   ineligible_reason_.clear();
   edb_counts_ = edb_counts;
   LPS_RETURN_IF_ERROR(eval_.CompileRules(/*witness_plans=*/true));
-
-  // Eligibility: deletion is only invertible rule-by-rule in the Horn
-  // fragment. Negation and grouping are non-monotone (a deletion can
-  // create tuples), and quantified / enumerating rules observe whole
-  // domains rather than deltas; any of them forces a full re-fixpoint.
+  const Signature& sig = program_->signature();
   for (const auto& rule : eval_.rules_) {
-    if (!rule.horn_simple) {
-      ineligible_reason_ =
-          "rule outside the Horn fragment (quantifier, grouping, or "
-          "domain enumeration): " +
-          program_->signature().Name(rule.clause->head.pred);
-      return false;
-    }
-    for (const Literal& lit : rule.clause->body) {
-      if (!lit.positive) {
-        ineligible_reason_ =
-            "negated body literal in rule for " +
-            program_->signature().Name(rule.clause->head.pred);
-        return false;
+    ineligible_reason_ =
+        ClauseIneligibility(*rule.clause, rule.horn_simple, sig);
+    if (!ineligible_reason_.empty()) return false;
+  }
+
+  // Where each predicate feeds a delta join, and which rules derive it.
+  uses_.assign(sig.size(), {});
+  rules_by_head_.assign(sig.size(), {});
+  for (const auto& rule : eval_.rules_) {
+    rules_by_head_[rule.clause->head.pred].push_back(&rule);
+    for (size_t pos = 0; pos < rule.plan.free_literals.size(); ++pos) {
+      const size_t li = rule.plan.free_literals[pos];
+      const Literal& lit = rule.clause->body[li];
+      if (lit.positive && !sig.IsBuiltin(lit.pred)) {
+        uses_[lit.pred].push_back({&rule, pos, li});
       }
     }
   }
 
-  LPS_RETURN_IF_ERROR(Retract(retracts));
+  // Indexes first built by this batch's joins (say, a closure indexed
+  // by its second column for a delta on the edge relation) serve
+  // maintenance only; they stay in the session but out of snapshots.
+  const std::vector<size_t> indexes_before = db_->IndexCounts();
+  std::vector<RoundTrip> round_trips;
+  LPS_RETURN_IF_ERROR(Retract(retracts, &round_trips));
   LPS_RETURN_IF_ERROR(Insert(inserts));
+  db_->MarkIndexesSessionOnly(indexes_before);
+  // A relation that got every casualty back and that the insert pass
+  // left alone holds exactly its pre-batch content (on a clustered
+  // closure, the common case): it takes back its pre-batch content
+  // tick, so a copy-on-write republish shares it instead of cloning it
+  // and the server keeps its side indexes.
+  for (const RoundTrip& trip : round_trips) {
+    const Relation* rel = db_->FindRelation(trip.pred);
+    if (rel->size() == trip.rows && rel->dead_count() == trip.dead) {
+      db_->RestoreContentTick(trip.pred, trip.tick);
+    }
+  }
 
   // Tombstones accrue under retract-heavy churn; compact once they
   // outnumber half the live rows. The batch's watermarks and row lists
@@ -81,28 +160,24 @@ Result<bool> IncrementalMaintainer::Maintain(
   return true;
 }
 
-Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
-  const Signature& sig = program_->signature();
-
-  // The over-deleted set, per predicate: `rows` in discovery order (the
-  // frontier is a slice of it), `member` for dedup. References into
-  // this map stay valid across inserts (unordered_map is node-based).
-  struct Deleted {
-    std::vector<RowId> rows;
-    std::unordered_set<RowId> member;
-  };
-  std::unordered_map<PredicateId, Deleted> deleted;
+Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts,
+                                      std::vector<RoundTrip>* round_trips) {
+  EvalStats& stats = eval_.stats_;
+  std::vector<Casualties> dead(program_->signature().size());
+  std::vector<PredicateId> touched;  // with casualties, in first-casualty
+                                     // order (body predicates come first)
   size_t total = 0;
-  auto record = [&](PredicateId pred, RowId r) {
-    Deleted& d = deleted[pred];
-    if (!d.member.insert(r).second) return false;
-    d.rows.push_back(r);
+  auto condemn = [&](PredicateId pred, RowId r) {
+    Casualties& c = dead[pred];
+    if (c.rows.empty()) touched.push_back(pred);
+    if (!c.Insert(r, db_->RelationSize(pred))) return false;
+    c.rows.push_back(r);
     ++total;
     return true;
   };
   for (const FactOp& op : retracts) {
     RowId r = db_->FindRow(op.pred, op.args);
-    if (r != Relation::kNoRow) record(op.pred, r);  // absent: no-op
+    if (r != Relation::kNoRow) condemn(op.pred, r);  // absent: no-op
   }
   if (total == 0) return Status::OK();
 
@@ -111,199 +186,172 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   // stay live for the duration - the over-estimate deliberately joins
   // against the pre-batch database - so the condemned frontier is fed
   // to the scans as an explicit-rows delta.
-  std::unordered_map<PredicateId, size_t> frontier_done;
   for (;;) {
-    ++eval_.stats_.delta_rounds;
-    std::unordered_map<PredicateId, std::pair<size_t, size_t>> frontier;
-    for (auto& [pred, d] : deleted) {
-      size_t begin = frontier_done.count(pred) ? frontier_done[pred] : 0;
-      if (begin < d.rows.size()) frontier[pred] = {begin, d.rows.size()};
-      frontier_done[pred] = d.rows.size();
+    ++stats.delta_rounds;
+    std::vector<std::pair<PredicateId, std::pair<size_t, size_t>>> frontier;
+    for (PredicateId pred : touched) {
+      Casualties& c = dead[pred];
+      if (c.condemned_done == c.rows.size()) continue;
+      frontier.push_back({pred, {c.condemned_done, c.rows.size()}});
+      c.condemned_done = c.rows.size();
     }
     if (frontier.empty()) break;
-    for (auto& rule : eval_.rules_) {
-      const Literal& head = rule.clause->head;
-      for (size_t pos = 0; pos < rule.plan.free_literals.size(); ++pos) {
-        size_t li = rule.plan.free_literals[pos];
-        const Literal& lit = rule.clause->body[li];
-        if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
-        auto fit = frontier.find(lit.pred);
-        if (fit == frontier.end()) continue;
-        BottomUpEvaluator::DeltaSpec spec{li, fit->second.first,
-                                          fit->second.second,
-                                          &deleted[lit.pred].rows};
-        LPS_RETURN_IF_ERROR(
-            RunDelta(rule, pos, spec, BottomUpEvaluator::Tail::kCollect));
+    for (const auto& [pred, window] : frontier) {
+      for (const DeltaUse& use : uses_[pred]) {
+        const BottomUpEvaluator::DeltaSpec spec{use.literal, window.first,
+                                                window.second,
+                                                &dead[pred].rows};
+        LPS_RETURN_IF_ERROR(RunDelta(*use.rule, use.pos, spec,
+                                     BottomUpEvaluator::Tail::kCollect));
         // Condemn every derived head that is stored. Nothing is erased
         // before the phase boundary, so condemning after the join sees
         // the same database as condemning during it.
+        const Literal& head = use.rule->clause->head;
         const BottomUpEvaluator::ExecCtx& ctx = eval_.seq_ctx_;
         const size_t arity = head.args.size();
         for (size_t k = 0; k < ctx.derived_rows; ++k) {
           RowId r = db_->FindRow(
               head.pred, TupleRef(ctx.derived.data() + k * arity, arity));
-          if (r != Relation::kNoRow && record(head.pred, r)) {
-            ++eval_.stats_.tuples_derived;
+          if (r != Relation::kNoRow && condemn(head.pred, r)) {
+            ++stats.tuples_derived;
           }
         }
       }
     }
   }
-  eval_.stats_.overdeleted_tuples += total;
+  stats.overdeleted_tuples += total;
 
   // Phase boundary: tombstone the whole over-deleted set at once, so
   // re-derivation sees exactly the surviving under-approximation.
-  for (auto& [pred, d] : deleted) {
-    for (RowId r : d.rows) db_->EraseRow(pred, r);
-  }
-
-  std::unordered_map<PredicateId,
-                     std::vector<const BottomUpEvaluator::CompiledRule*>>
-      rules_by_head;
-  for (const auto& rule : eval_.rules_) {
-    rules_by_head[rule.clause->head.pred].push_back(&rule);
-  }
-
-  // Tuple -> still-dead condemned row, so the propagation pass can
-  // recognize a freshly derived head as a revivable casualty.
-  std::unordered_map<PredicateId,
-                     std::unordered_map<Tuple, RowId, TupleHash>>
-      dead_index;
-  for (auto& [pred, d] : deleted) {
+  std::vector<RoundTrip> before;
+  for (PredicateId pred : touched) {
     const Relation* rel = db_->FindRelation(pred);
-    auto& by_tuple = dead_index[pred];
-    for (RowId r : d.rows) {
-      TupleRef t = rel->row(r);
-      by_tuple.emplace(Tuple(t.begin(), t.end()), r);
-    }
+    before.push_back(
+        {pred, rel->content_tick(), rel->size(), rel->dead_count()});
+    for (RowId r : dead[pred].rows) db_->EraseRow(pred, r);
   }
 
-  // Revived rows per predicate in revival order; the propagation
-  // frontier below is a window of it (same shape as the over-delete
-  // pass). Reviving keeps the arena row, so RowIds stay stable.
-  std::unordered_map<PredicateId, std::vector<RowId>> revived;
+  // Re-derivation (DRed phase 2). Reviving keeps the arena row, so
+  // RowIds stay stable and the bitmaps stay valid throughout.
   auto revive = [&](PredicateId pred, RowId r) {
     db_->ReviveRow(pred, r);
-    revived[pred].push_back(r);
-    ++eval_.stats_.rederived_tuples;
+    dead[pred].revived.push_back(r);
+    ++stats.rederived_tuples;
   };
-
-  // Re-derivation (DRed phase 2). The maintainable fragment is
-  // positive Horn, so re-derivation is a *monotone* fixpoint and needs
-  // no stratification. EDB facts of the post-batch program revive
-  // unconditionally first. With a borrowed fact-count index this is
-  // one probe per casualty; without one, one pass over the program's
-  // facts probing the dead index (not a per-batch set of every fact -
-  // the fact list is usually far larger than the casualty list).
-  if (edb_counts_ != nullptr) {
-    for (const auto& [pred, by_tuple] : dead_index) {
-      auto pit = edb_counts_->find(pred);
-      if (pit == edb_counts_->end()) continue;
-      const Relation* rel = db_->FindRelation(pred);
-      for (const auto& [args, row] : by_tuple) {
-        if (!rel->IsLive(row) && pit->second.count(args) > 0) {
-          revive(pred, row);
-        }
-      }
-    }
-  } else {
-    // Dense pred-id pre-filter: typically no EDB predicate has
-    // casualties at all, so the per-fact check must be an array index,
-    // not a hash find.
-    PredicateId max_dead = 0;
-    for (const auto& [pred, by_tuple] : dead_index) {
-      if (pred > max_dead) max_dead = pred;
-    }
-    std::vector<char> pred_dead(static_cast<size_t>(max_dead) + 1, 0);
-    for (const auto& [pred, by_tuple] : dead_index) pred_dead[pred] = 1;
-    for (const Literal& f : program_->facts()) {
-      if (f.pred >= pred_dead.size() || !pred_dead[f.pred]) continue;
-      auto& by_tuple = dead_index[f.pred];
-      auto hit = by_tuple.find(f.args);
-      if (hit != by_tuple.end() &&
-          !db_->FindRelation(f.pred)->IsLive(hit->second)) {
-        revive(f.pred, hit->second);
-      }
-    }
-  }
-
-  // Then one counting-style witness sweep: a casualty revives iff the
-  // surviving database still derives it (head-bound body search, first
-  // witness wins). For non-recursive programs this sweep is already
-  // complete.
-  Tuple tuple;
-  for (auto& [pred, d] : deleted) {
-    auto rit = rules_by_head.find(pred);
-    const Relation* rel = db_->FindRelation(pred);
-    for (RowId r : d.rows) {
-      if (rel->IsLive(r)) continue;  // already revived as an EDB fact
-      {
-        TupleRef view = rel->row(r);
-        tuple.assign(view.begin(), view.end());
-      }
-      bool alive = false;
-      if (rit != rules_by_head.end()) {
-        for (const auto* rule : rit->second) {
-          LPS_ASSIGN_OR_RETURN(alive, Witness(*rule, tuple));
-          if (alive) break;
-        }
-      }
-      if (alive) revive(pred, r);
-    }
-  }
-
-  // Then propagate: each revival can re-support further casualties, so
-  // delta-join the newly revived rows through the rules (explicit-rows
-  // delta, exactly like the over-delete pass) and revive any derived
-  // head that is a still-dead casualty - never a repeated sweep over
-  // the whole condemned set.
-  std::unordered_map<PredicateId, size_t> prop_done;
-  for (;;) {
-    ++eval_.stats_.delta_rounds;
-    std::unordered_map<PredicateId, std::pair<size_t, size_t>> frontier;
-    for (auto& [pred, rows] : revived) {
-      size_t begin = prop_done.count(pred) ? prop_done[pred] : 0;
-      if (begin < rows.size()) frontier[pred] = {begin, rows.size()};
-      prop_done[pred] = rows.size();
-    }
-    if (frontier.empty()) break;
-    for (auto& rule : eval_.rules_) {
-      const Literal& head = rule.clause->head;
-      auto dit = dead_index.find(head.pred);
-      if (dit == dead_index.end()) continue;  // head cannot be dead
-      for (size_t pos = 0; pos < rule.plan.free_literals.size(); ++pos) {
-        size_t li = rule.plan.free_literals[pos];
-        const Literal& lit = rule.clause->body[li];
-        if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
-        auto fit = frontier.find(lit.pred);
-        if (fit == frontier.end()) continue;
-        BottomUpEvaluator::DeltaSpec spec{li, fit->second.first,
-                                          fit->second.second,
-                                          &revived[lit.pred]};
-        LPS_RETURN_IF_ERROR(
-            RunDelta(rule, pos, spec, BottomUpEvaluator::Tail::kCollect));
-        // Revive every derived head that is a still-dead casualty. A
-        // revival lands in `revived`, so the next round joins it.
-        const BottomUpEvaluator::ExecCtx& ctx = eval_.seq_ctx_;
-        const size_t arity = head.args.size();
-        Tuple out;
-        for (size_t k = 0; k < ctx.derived_rows; ++k) {
-          const TermId* row = ctx.derived.data() + k * arity;
-          out.assign(row, row + arity);
-          auto hit = dit->second.find(out);
-          if (hit != dit->second.end() &&
-              !db_->FindRelation(head.pred)->IsLive(hit->second)) {
-            revive(head.pred, hit->second);
+  // Propagation: delta-join the revived rows not yet joined through
+  // the rules and revive every derived head that is a still-dead
+  // casualty, until no revival is left unjoined. A derived head was in
+  // the pre-batch fixpoint (it is derived from live tuples, a subset
+  // of it), so it is live or a casualty; the relation's dedup table,
+  // which keeps tombstoned rows, maps it to its row.
+  auto propagate = [&]() -> Status {
+    for (;;) {
+      bool joined = false;
+      for (PredicateId pred : touched) {
+        Casualties& c = dead[pred];
+        if (c.revived_done == c.revived.size()) continue;
+        joined = true;
+        const size_t begin = c.revived_done;
+        const size_t end = c.revived.size();
+        c.revived_done = end;
+        for (const DeltaUse& use : uses_[pred]) {
+          const PredicateId head = use.rule->clause->head.pred;
+          Casualties& heads = dead[head];
+          if (heads.rows.empty()) continue;  // nothing there to revive
+          const BottomUpEvaluator::DeltaSpec spec{use.literal, begin, end,
+                                                  &c.revived};
+          LPS_RETURN_IF_ERROR(RunDelta(*use.rule, use.pos, spec,
+                                       BottomUpEvaluator::Tail::kCollect));
+          const Relation* rel = db_->FindRelation(head);
+          const BottomUpEvaluator::ExecCtx& ctx = eval_.seq_ctx_;
+          const size_t arity = use.rule->clause->head.args.size();
+          for (size_t k = 0; k < ctx.derived_rows; ++k) {
+            RowId r = rel->FindStored(
+                TupleRef(ctx.derived.data() + k * arity, arity));
+            if (r != Relation::kNoRow && !rel->IsLive(r) && heads.Has(r)) {
+              revive(head, r);
+            }
           }
         }
       }
+      if (!joined) return Status::OK();
+      ++stats.delta_rounds;
     }
+  };
+
+  // EDB facts of the post-batch program revive unconditionally first.
+  // With a borrowed fact-count index this is one probe per casualty of
+  // a predicate that has facts; without one, one pass over the
+  // program's facts probing the casualty bitmaps (the fact list is
+  // usually far larger than the casualty list).
+  if (edb_counts_ != nullptr) {
+    Tuple args;
+    for (PredicateId pred : touched) {
+      auto pit = edb_counts_->find(pred);
+      if (pit == edb_counts_->end()) continue;
+      const Relation* rel = db_->FindRelation(pred);
+      for (RowId r : dead[pred].rows) {
+        if (rel->IsLive(r)) continue;
+        TupleRef view = rel->row(r);
+        args.assign(view.begin(), view.end());
+        if (pit->second.count(args) > 0) revive(pred, r);
+      }
+    }
+  } else {
+    for (const Literal& f : program_->facts()) {
+      if (f.pred >= dead.size() || dead[f.pred].rows.empty()) continue;
+      const Relation* rel = db_->FindRelation(f.pred);
+      RowId r = rel->FindStored(f.args);
+      if (r != Relation::kNoRow && !rel->IsLive(r) && dead[f.pred].Has(r)) {
+        revive(f.pred, r);
+      }
+    }
+  }
+  LPS_RETURN_IF_ERROR(propagate());
+
+  // Then the witness sweep, interleaved with propagation: a casualty
+  // still dead at its turn revives iff the current database derives it
+  // (head-bound body search, first witness wins), and each revival is
+  // propagated before the next casualty is looked at. A casualty whose
+  // support comes back only later is revived by that propagation: the
+  // last body tuple of its derivation to revive is joined as a delta
+  // against the others, already live. The sweep walks each relation's
+  // casualties in RowId order (its bitmap's bit order), which is the
+  // order the fixpoint first derived them in: a tuple's original
+  // support sits on earlier rows, so by its turn that support has had
+  // its own chance to revive, and on a cluster the first few revivals
+  // propagate to nearly all the rest.
+  for (PredicateId pred : touched) {
+    const auto& rules = rules_by_head_[pred];
+    if (rules.empty()) continue;  // EDB only: revived above or gone
+    const Relation* rel = db_->FindRelation(pred);
+    const std::vector<uint64_t>& bits = dead[pred].bits;
+    for (size_t word = 0; word < bits.size(); ++word) {
+      for (uint64_t w = bits[word]; w != 0; w &= w - 1) {
+        const RowId r =
+            static_cast<RowId>(word * 64 + std::countr_zero(w));
+        if (rel->IsLive(r)) continue;
+        bool alive = false;
+        for (const BottomUpEvaluator::CompiledRule* rule : rules) {
+          ++stats.witness_searches;
+          LPS_ASSIGN_OR_RETURN(alive, Witness(*rule, rel->row(r)));
+          if (alive) break;
+        }
+        if (!alive) continue;
+        revive(pred, r);
+        LPS_RETURN_IF_ERROR(propagate());
+      }
+    }
+  }
+  for (const RoundTrip& trip : before) {
+    const Casualties& c = dead[trip.pred];
+    if (c.revived.size() == c.rows.size()) round_trips->push_back(trip);
   }
   return Status::OK();
 }
 
 Result<bool> IncrementalMaintainer::Witness(
-    const BottomUpEvaluator::CompiledRule& rule, const Tuple& t) {
+    const BottomUpEvaluator::CompiledRule& rule, TupleRef t) {
   const Literal& head = rule.clause->head;
   if (head.args.size() != t.size()) return false;
   BottomUpEvaluator::ExecCtx& ctx = eval_.seq_ctx_;
@@ -337,8 +385,8 @@ Result<bool> IncrementalMaintainer::Witness(
   Unifier unifier(program_->store(), eval_.options_.builtins.unify);
   std::vector<Substitution> unifiers;
   LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(
-      std::span<const TermId>(head.args.data(), head.args.size()),
-      std::span<const TermId>(t.data(), t.size()), &unifiers));
+      std::span<const TermId>(head.args.data(), head.args.size()), t,
+      &unifiers));
   for (const Substitution& u : unifiers) {
     ctx.Undo(0);
     BottomUpEvaluator::BindFrom(rule, u, &ctx);

@@ -10,11 +10,20 @@
 //    tombstones every tuple with a derivation through a retracted one
 //    (explicit-rows delta joins against the still-intact pre-batch
 //    database); re-derivation then revives each casualty that still
-//    has a derivation - one counting-style witness sweep against the
-//    surviving database (complete by itself for non-recursive
-//    programs), followed by delta propagation of the revivals for
-//    recursive ones (the fragment is positive Horn, so re-derivation
-//    is a monotone fixpoint and needs no stratification).
+//    has a derivation. It interleaves two moves: a casualty that is
+//    still dead when its turn comes gets one head-bound witness search
+//    against the surviving database, and every revival - by witness or
+//    as a surviving EDB fact - is propagated through the delta rules
+//    before the next casualty is looked at. The fragment is positive
+//    Horn, so re-derivation is a monotone fixpoint: a derivation whose
+//    body comes back piece by piece fires when its last piece revives,
+//    exactly as in semi-naive evaluation, and needs no stratification.
+//    On a strongly connected cluster almost every casualty is revived
+//    by propagation, so the pass costs a few delta joins per casualty
+//    rather than a body search each. Casualties are tracked in
+//    per-relation RowId bitmaps, and a re-derived head finds its
+//    tombstoned row through the relation's own dedup table (which
+//    keeps dead rows), so the pass allocates nothing per casualty.
 //
 // The result is tuple-for-tuple identical to re-evaluating the mutated
 // program from scratch (Database::ToCanonicalString equality; arena
@@ -70,17 +79,36 @@ class IncrementalMaintainer {
                         const std::vector<FactOp>& retracts,
                         const FactCounts* edb_counts = nullptr);
 
+  /// Why `program` is outside the maintainable fragment, or "" when
+  /// every rule is positive Horn without quantifiers, grouping or
+  /// domain enumeration. Depends only on the rules, so callers decide
+  /// once per rule set (Session caches it per rule epoch) instead of
+  /// compiling the program on every commit only to decline it.
+  static Result<std::string> IneligibleReason(const Program& program);
+
   /// Why the last Maintain() returned false; empty when it ran.
   const std::string& ineligible_reason() const {
     return ineligible_reason_;
   }
 
   /// Work counters: delta_rounds / overdeleted_tuples /
-  /// rederived_tuples, plus the usual rule-run and storage numbers.
+  /// rederived_tuples / witness_searches, plus the usual rule-run and
+  /// storage numbers.
   const EvalStats& stats() const { return eval_.stats(); }
 
  private:
-  Status Retract(const std::vector<FactOp>& retracts);
+  /// A relation's state before a Retract erased its casualties.
+  struct RoundTrip {
+    PredicateId pred;
+    uint64_t tick;  // Relation::content_tick()
+    size_t rows;    // Relation::size()
+    size_t dead;    // Relation::dead_count()
+  };
+
+  /// DRed. Appends to `round_trips` the pre-erase state of every
+  /// relation whose casualties all revived.
+  Status Retract(const std::vector<FactOp>& retracts,
+                 std::vector<RoundTrip>* round_trips);
   Status Insert(const std::vector<FactOp>& inserts);
 
   /// The plan for joining a delta on `rule`'s free_literals[pos]: the
@@ -100,15 +128,29 @@ class IncrementalMaintainer {
 
   /// True when some instance of `rule` derives exactly the tuple `t`
   /// from the current (live) database: binds the head to `t` and runs
-  /// the body head-bound, stopping at the first witness.
+  /// the body head-bound, stopping at the first witness. `t` may view
+  /// a stored row: nothing is inserted while the search runs.
   Result<bool> Witness(const BottomUpEvaluator::CompiledRule& rule,
-                       const Tuple& t);
+                       TupleRef t);
+
+  /// A positive user literal of a rule, where a delta on its
+  /// predicate enters the rule: free_literals[pos] == literal.
+  struct DeltaUse {
+    const BottomUpEvaluator::CompiledRule* rule;
+    size_t pos;
+    size_t literal;
+  };
 
   const Program* program_;
   Database* db_;
   BottomUpEvaluator eval_;  // compiled rules + delta-join machinery
   std::string ineligible_reason_;
   const FactCounts* edb_counts_ = nullptr;  // borrowed for one Maintain()
+  // Rebuilt by every Maintain() over its compiled rules, by PredicateId:
+  // the delta entry points of each predicate and the rules deriving it.
+  std::vector<std::vector<DeltaUse>> uses_;
+  std::vector<std::vector<const BottomUpEvaluator::CompiledRule*>>
+      rules_by_head_;
 };
 
 }  // namespace lps

@@ -252,17 +252,20 @@ bool Relation::Contains(TupleRef t) const {
 }
 
 RowId Relation::Find(TupleRef t) const {
+  // One entry per tuple value, so the stored row is the only
+  // candidate: a dead hit means the tuple is absent.
+  const RowId r = FindStored(t);
+  return r != kNoRow && IsLive(r) ? r : kNoRow;
+}
+
+RowId Relation::FindStored(TupleRef t) const {
   if (dedup_slots_.empty()) return kNoRow;
   const size_t cap_mask = dedup_slots_.size() - 1;
   size_t slot = Slot(HashRange(t), cap_mask);
   for (;;) {
     uint32_t entry = dedup_slots_[slot];
     if (entry == 0) return kNoRow;
-    if (RowsEqual(row(entry - 1), t)) {
-      // One entry per tuple value, so this is the only candidate: a
-      // dead hit means the tuple is absent, no need to probe further.
-      return IsLive(entry - 1) ? entry - 1 : kNoRow;
-    }
+    if (RowsEqual(row(entry - 1), t)) return entry - 1;
     slot = (slot + 1) & cap_mask;
   }
 }
@@ -410,10 +413,35 @@ void Relation::Compact() {
   while (num_rows_ * 4 > cap * 3) cap *= 2;
   RehashDedup(cap);
   for (MaskIndex& ix : indexes_) {
+    const bool session_only = ix.session_only();
     ix = MaskIndex(ix.mask());
+    if (session_only) ix.set_session_only();
     ix.CatchUp(*this);
   }
   content_tick_ = NextContentTick();
+}
+
+void Relation::MarkIndexesSessionOnly(size_t first) {
+  for (size_t i = first; i < indexes_.size(); ++i) {
+    indexes_[i].set_session_only();
+  }
+}
+
+Relation Relation::CopyForSnapshot() const {
+  // Every member but the index list, copied as the implicit copy
+  // constructor would.
+  Relation copy(arity_);
+  copy.content_tick_ = content_tick_;
+  copy.num_rows_ = num_rows_;
+  copy.arena_ = arena_;
+  copy.dedup_slots_ = dedup_slots_;
+  copy.dedup_probes_ = dedup_probes_;
+  copy.dead_ = dead_;
+  copy.dead_count_ = dead_count_;
+  for (const MaskIndex& ix : indexes_) {
+    if (!ix.session_only()) copy.indexes_.push_back(ix);
+  }
+  return copy;
 }
 
 size_t Relation::ArenaBytes() const {

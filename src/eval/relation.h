@@ -112,6 +112,12 @@ class MaskIndex {
   /// Bytes reserved by the slot table, bucket table and posting pool.
   size_t Bytes() const;
 
+  /// Session-only: built for incremental maintenance alone, so a
+  /// snapshot copy of the relation leaves it out (Relation::
+  /// CopyForSnapshot).
+  bool session_only() const { return session_only_; }
+  void set_session_only() { session_only_ = true; }
+
  private:
   /// Postings of one key: pool_[offset, offset + size). A full bucket
   /// doubles into fresh space at the pool's end (or in place when it
@@ -136,6 +142,7 @@ class MaskIndex {
   void GrowSlots(const Relation& rel);
 
   uint32_t mask_;
+  bool session_only_ = false;
   size_t built_up_to_ = 0;
   std::vector<uint32_t> slots_;  // bucket ordinal + 1; 0 = empty
   std::vector<Bucket> buckets_;
@@ -307,6 +314,12 @@ class Relation {
   /// RowId of the live row equal to `t`, or kNoRow.
   RowId Find(TupleRef t) const;
 
+  /// RowId of the row storing `t`, live or tombstoned, or kNoRow. The
+  /// dedup table keeps dead rows, so this is the same single probe as
+  /// Find; incremental maintenance maps a re-derived tuple back to the
+  /// tombstoned row it revives with it.
+  RowId FindStored(TupleRef t) const;
+
   /// Tombstones row r: marks it dead. The arena, the dedup entry, and
   /// the per-mask indexes keep the row (readers skip it via IsLive;
   /// the retained dedup entry is what lets a later Insert of the same
@@ -384,6 +397,26 @@ class Relation {
   /// and watermarks taken before the call are all invalid. No-op when
   /// nothing is dead.
   void Compact();
+
+  /// Per-mask indexes built so far, in build order.
+  size_t index_count() const { return indexes_.size(); }
+
+  /// Marks the indexes built after the first `first` session-only
+  /// (MaskIndex::set_session_only).
+  void MarkIndexesSessionOnly(size_t first);
+
+  /// Copy for a published snapshot: rows, tombstones, the dedup table
+  /// and every index except the session-only ones, which serve the
+  /// session's incremental maintenance and would only grow each
+  /// snapshot (and the time to publish it).
+  Relation CopyForSnapshot() const;
+
+  /// Re-stamps the relation with `tick`, a content tick it carried
+  /// earlier, after mutations that left its content exactly as it was
+  /// then: incremental maintenance revived every row a batch erased
+  /// and added none. The caller guarantees the equality; it lets a
+  /// copy-on-write republish keep sharing the relation.
+  void RestoreContentTick(uint64_t tick) { content_tick_ = tick; }
 
   /// Statistics snapshot for the cost-based planner: live rows plus
   /// the distinct-key count of every index built so far. Pure reads of

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "serve/snapshot.h"
 
 namespace lps {
 namespace {
@@ -34,11 +35,18 @@ Options Incremental() {
   return o;
 }
 
+// The from-scratch comparator: every commit re-evaluates.
+Options FullRecompute() {
+  Options o;
+  o.incremental = false;
+  return o;
+}
+
 // The canonical database of `source` after `mutate` ran against an
 // evaluated session, computed the trusted way: full re-evaluation.
 template <typename Fn>
 std::string GroundTruth(const std::string& source, Fn mutate) {
-  Session session(LanguageMode::kLPS);  // incremental off: exact path
+  Session session(LanguageMode::kLPS, FullRecompute());
   EXPECT_TRUE(session.Load(source).ok());
   EXPECT_TRUE(session.Evaluate().ok());
   mutate(session);
@@ -138,10 +146,29 @@ TEST(IncrementalTest, IneligibleFragmentFallsBackExactly) {
   EXPECT_FALSE(*session.Holds("unreachable(d)"));
 }
 
-TEST(IncrementalTest, OffByDefaultStillReconverges) {
+TEST(IncrementalTest, DefaultCommitMaintainsIncrementally) {
+  auto mutate = [](Session& s) {
+    MutationBatch batch = s.Mutate();
+    ASSERT_OK(batch.AddText("edge(d, e)"));
+    ASSERT_OK(batch.RetractText("edge(a, b)"));
+    ASSERT_OK(batch.Commit());
+  };
+  Session session(LanguageMode::kLPS);  // default Options
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Evaluate());
+  mutate(session);
+  EXPECT_GT(session.eval_stats().delta_rounds, 0u);
+  EXPECT_EQ(session.eval_stats().commit_route, CommitRoute::kIncremental);
+  EXPECT_TRUE(session.eval_stats().commit_fallback_reason.empty());
+  EXPECT_EQ(session.database()->ToCanonicalString(
+                session.program()->signature()),
+            GroundTruth(kGraph, mutate));
+}
+
+TEST(IncrementalTest, FullRecomputeComparatorReconverges) {
   // incremental=false: Commit() on a converged session re-evaluates
   // from scratch - behaviour identical, just without delta counters.
-  Session session(LanguageMode::kLPS);
+  Session session(LanguageMode::kLPS, FullRecompute());
   ASSERT_OK(session.Load(kGraph));
   ASSERT_OK(session.Evaluate());
   MutationBatch batch = session.Mutate();
@@ -149,6 +176,110 @@ TEST(IncrementalTest, OffByDefaultStillReconverges) {
   ASSERT_OK(batch.Commit());
   EXPECT_TRUE(*session.Holds("path(a, e)"));
   EXPECT_EQ(session.eval_stats().delta_rounds, 0u);
+  EXPECT_EQ(session.eval_stats().commit_route, CommitRoute::kFull);
+  EXPECT_FALSE(session.eval_stats().commit_fallback_reason.empty());
+}
+
+TEST(IncrementalTest, IneligibleCommitReportsRouteAndReason) {
+  // Decided once per rule epoch: every commit falls back, each with
+  // the maintainer's reason.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
+    edge(a, b). node(a). node(b). node(c).
+    unreachable(Y) :- node(Y), not edge(a, Y).
+  )"));
+  ASSERT_OK(session.Evaluate());
+  for (const char* fact : {"edge(a, c)", "node(d)"}) {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.AddText(fact));
+    ASSERT_OK(batch.Commit());
+    EXPECT_EQ(session.eval_stats().commit_route, CommitRoute::kFull);
+    EXPECT_NE(session.eval_stats().commit_fallback_reason.find("negated"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(*session.Holds("unreachable(c)"));
+  EXPECT_TRUE(*session.Holds("unreachable(d)"));
+}
+
+// Two casualties that only support each other must stay dead: after
+// edge(s, a) goes, reach(s, a) and reach(s, b) each have a derivation
+// through the other, and none from the surviving database.
+TEST(IncrementalTest, CyclicSupportStaysDead) {
+  constexpr const char* kCycle = R"(
+    edge(s, a). edge(a, b). edge(b, a).
+    reach(X, Y) :- edge(X, Y).
+    reach(X, Z) :- reach(X, Y), edge(Y, Z).
+  )";
+  auto mutate = [](Session& s) {
+    MutationBatch batch = s.Mutate();
+    ASSERT_OK(batch.RetractText("edge(s, a)"));
+    ASSERT_OK(batch.Commit());
+  };
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kCycle));
+  ASSERT_OK(session.Evaluate());
+  mutate(session);
+  EXPECT_EQ(session.eval_stats().commit_route, CommitRoute::kIncremental);
+  EXPECT_FALSE(*session.Holds("reach(s, a)"));
+  EXPECT_FALSE(*session.Holds("reach(s, b)"));
+  EXPECT_TRUE(*session.Holds("reach(a, a)"));
+  EXPECT_TRUE(*session.Holds("reach(b, b)"));
+  EXPECT_EQ(session.database()->ToCanonicalString(
+                session.program()->signature()),
+            GroundTruth(kCycle, mutate));
+}
+
+// A 64-node ring with chords: the closure is the whole cluster, and
+// re-pointing one chord condemns much of it, nearly all of which
+// survives. Interleaved rederivation revives those casualties by
+// propagating earlier revivals; only a small fraction needs a
+// head-bound witness search.
+TEST(IncrementalTest, RingClusterRederivesByPropagation) {
+  constexpr int kNodes = 64;
+  std::string source =
+      "reach(X, Y) :- edge(X, Y).\n"
+      "reach(X, Z) :- reach(X, Y), edge(Y, Z).\n";
+  auto edge = [](int from, int to) {
+    return "edge(n" + std::to_string(from) + ", n" + std::to_string(to) +
+           ")";
+  };
+  for (int i = 0; i < kNodes; ++i) {
+    source += edge(i, (i + 1) % kNodes) + ".\n";
+    source += edge(i, (i + 3) % kNodes) + ".\n";
+  }
+  source += edge(5, 40) + ".\n";
+  auto mutate = [&](Session& s) {
+    MutationBatch batch = s.Mutate();
+    ASSERT_OK(batch.RetractText(edge(5, 40)));
+    ASSERT_OK(batch.AddText(edge(5, 20)));
+    ASSERT_OK(batch.Commit());
+  };
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(source));
+  ASSERT_OK(session.Evaluate());
+  const Signature& sig = session.program()->signature();
+  const Relation* reach =
+      session.database()->FindRelation(sig.Lookup("reach", 2));
+  const Relation* edges =
+      session.database()->FindRelation(sig.Lookup("edge", 2));
+  ASSERT_NE(reach, nullptr);
+  ASSERT_NE(edges, nullptr);
+  const uint64_t reach_tick = reach->content_tick();
+  const uint64_t edge_tick = edges->content_tick();
+  mutate(session);
+  const EvalStats& stats = session.eval_stats();
+  EXPECT_EQ(stats.commit_route, CommitRoute::kIncremental);
+  // The closure came back whole, so it keeps its content tick (a
+  // copy-on-write republish shares it); the edge relation changed.
+  EXPECT_EQ(reach->content_tick(), reach_tick);
+  EXPECT_NE(edges->content_tick(), edge_tick);
+  EXPECT_EQ(session.database()->ToCanonicalString(
+                session.program()->signature()),
+            GroundTruth(source, mutate));
+  ASSERT_GT(stats.overdeleted_tuples, 1000u);
+  // Every closure tuple survives the move: all but the chord revive.
+  EXPECT_EQ(stats.rederived_tuples + 1, stats.overdeleted_tuples);
+  EXPECT_LE(stats.witness_searches * 10, stats.overdeleted_tuples);
 }
 
 TEST(IncrementalTest, MaintainerReportsIneligibleReason) {
@@ -163,6 +294,46 @@ TEST(IncrementalTest, MaintainerReportsIneligibleReason) {
   ASSERT_OK(ran.status());
   EXPECT_FALSE(*ran);
   EXPECT_FALSE(maintainer.ineligible_reason().empty());
+}
+
+// Indexes the maintainer builds for its own delta joins stay in the
+// session; snapshot copies leave them out.
+TEST(IncrementalTest, MaintenanceIndexesStayOutOfSnapshots) {
+  std::string source =
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  for (int i = 0; i < 32; ++i) {
+    source += "edge(n" + std::to_string(i) + ", n" +
+              std::to_string((i + 1) % 32) + ").\n";
+  }
+  Options options;
+  options.reorder = false;  // source-order plans: path, then edge
+  Session session(LanguageMode::kLPS, options);
+  ASSERT_OK(session.Load(source));
+  ASSERT_OK(session.Evaluate());
+  const PredicateId path = session.program()->signature().Lookup("path", 2);
+  // The fixpoint joins a path delta with edge; a delta on edge(Y, Z)
+  // probes path by its second column, which only maintenance does.
+  constexpr uint32_t kSecond = 0b10;
+  ASSERT_FALSE(
+      session.database()->FindRelation(path)->HasIndexBuilt(kSecond));
+  auto first = session.Freeze();
+  ASSERT_OK(first.status());
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.RetractText("edge(n3, n4)"));
+  ASSERT_OK(batch.Commit());
+  EXPECT_TRUE(session.database()->FindRelation(path)->HasIndexBuilt(kSecond));
+  auto next = session.FreezeIncremental(*first);
+  ASSERT_OK(next.status());
+  auto deep = session.Freeze();
+  ASSERT_OK(deep.status());
+  for (const auto* snap : {next->get(), deep->get()}) {
+    const Relation* rel = snap->database().FindRelation(path);
+    ASSERT_NE(rel, nullptr);
+    EXPECT_FALSE(rel->HasIndexBuilt(kSecond));
+  }
+  EXPECT_EQ((*next)->database().ToCanonicalString((*next)->signature()),
+            (*deep)->database().ToCanonicalString((*deep)->signature()));
 }
 
 TEST(MutationBatchTest, FactCommitBumpsFactEpochOnly) {
