@@ -435,8 +435,11 @@ Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
   }
   if (added == 0) return Status::OK();
 
-  for (;;) {
-    if (++eval_.stats_.delta_rounds > eval_.options_.max_iterations) {
+  // The limit counts this pass's rounds only: delta_rounds already
+  // holds the retract pass's (one per propagation round).
+  for (size_t rounds = 1;; ++rounds) {
+    ++eval_.stats_.delta_rounds;
+    if (rounds > eval_.options_.max_iterations) {
       return Status::ResourceExhausted("iteration limit exceeded");
     }
     uint64_t version_before = db_->version();

@@ -234,26 +234,33 @@ TEST(IncrementalTest, CyclicSupportStaysDead) {
 // survives. Interleaved rederivation revives those casualties by
 // propagating earlier revivals; only a small fraction needs a
 // head-bound witness search.
-TEST(IncrementalTest, RingClusterRederivesByPropagation) {
+std::string RingEdge(int from, int to) {
+  return "edge(n" + std::to_string(from) + ", n" + std::to_string(to) + ")";
+}
+
+// The closure of a 64-node ring with skip-3 edges and the chord
+// edge(n5, n40), and a commit that re-points the chord.
+std::string RingSource() {
   constexpr int kNodes = 64;
   std::string source =
       "reach(X, Y) :- edge(X, Y).\n"
       "reach(X, Z) :- reach(X, Y), edge(Y, Z).\n";
-  auto edge = [](int from, int to) {
-    return "edge(n" + std::to_string(from) + ", n" + std::to_string(to) +
-           ")";
-  };
   for (int i = 0; i < kNodes; ++i) {
-    source += edge(i, (i + 1) % kNodes) + ".\n";
-    source += edge(i, (i + 3) % kNodes) + ".\n";
+    source += RingEdge(i, (i + 1) % kNodes) + ".\n";
+    source += RingEdge(i, (i + 3) % kNodes) + ".\n";
   }
-  source += edge(5, 40) + ".\n";
-  auto mutate = [&](Session& s) {
-    MutationBatch batch = s.Mutate();
-    ASSERT_OK(batch.RetractText(edge(5, 40)));
-    ASSERT_OK(batch.AddText(edge(5, 20)));
-    ASSERT_OK(batch.Commit());
-  };
+  return source + RingEdge(5, 40) + ".\n";
+}
+
+void MoveRingChord(Session& s) {
+  MutationBatch batch = s.Mutate();
+  ASSERT_OK(batch.RetractText(RingEdge(5, 40)));
+  ASSERT_OK(batch.AddText(RingEdge(5, 20)));
+  ASSERT_OK(batch.Commit());
+}
+
+TEST(IncrementalTest, RingClusterRederivesByPropagation) {
+  const std::string source = RingSource();
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(source));
   ASSERT_OK(session.Evaluate());
@@ -266,7 +273,7 @@ TEST(IncrementalTest, RingClusterRederivesByPropagation) {
   ASSERT_NE(edges, nullptr);
   const uint64_t reach_tick = reach->content_tick();
   const uint64_t edge_tick = edges->content_tick();
-  mutate(session);
+  MoveRingChord(session);
   const EvalStats& stats = session.eval_stats();
   EXPECT_EQ(stats.commit_route, CommitRoute::kIncremental);
   // The closure came back whole, so it keeps its content tick (a
@@ -275,11 +282,25 @@ TEST(IncrementalTest, RingClusterRederivesByPropagation) {
   EXPECT_NE(edges->content_tick(), edge_tick);
   EXPECT_EQ(session.database()->ToCanonicalString(
                 session.program()->signature()),
-            GroundTruth(source, mutate));
+            GroundTruth(source, MoveRingChord));
   ASSERT_GT(stats.overdeleted_tuples, 1000u);
   // Every closure tuple survives the move: all but the chord revive.
   EXPECT_EQ(stats.rederived_tuples + 1, stats.overdeleted_tuples);
   EXPECT_LE(stats.witness_searches * 10, stats.overdeleted_tuples);
+}
+
+// max_iterations bounds each semi-naive pass, not the sum of a batch's
+// rounds: the retract pass's propagation rounds must not use up the
+// insert pass's budget.
+TEST(IncrementalTest, IterationLimitBoundsEachPass) {
+  Options options;
+  options.max_iterations = 64;  // the ring's fixpoint needs ~25
+  Session session(LanguageMode::kLPS, options);
+  ASSERT_OK(session.Load(RingSource()));
+  ASSERT_OK(session.Evaluate());
+  MoveRingChord(session);
+  EXPECT_GT(session.eval_stats().delta_rounds, options.max_iterations);
+  EXPECT_EQ(session.eval_stats().commit_route, CommitRoute::kIncremental);
 }
 
 TEST(IncrementalTest, MaintainerReportsIneligibleReason) {
